@@ -135,12 +135,6 @@ let obs_term =
                    parent ids so steals and replays form one causal tree. \
                    Analyze with $(b,yewpar analyze --journal) $(docv).")
   in
-  let trace_csv =
-    Arg.(value & opt (some string) None
-         & info [ "trace-csv" ] ~docv:"FILE"
-             ~doc:"Deprecated alias for $(b,--trace) $(docv) \
-                   $(b,--trace-format) csv.")
-  in
   let monitor =
     Arg.(value & opt (some int) None
          & info [ "monitor-port" ] ~docv:"PORT"
@@ -216,9 +210,10 @@ let obs_term =
     Arg.(value & opt (some chaos_conv) None
          & info [ "chaos" ] ~docv:"SPEC"
              ~doc:"Inject faults into the dist runtime for testing: \
-                   comma-separated $(b,kill-locality:ID\\@TIMEs) (SIGKILL a \
-                   locality mid-run), $(b,drop-frame:TYPE:PROB) (drop inbound \
-                   wire frames), $(b,delay:Nms) (slow the link).")
+                   comma-separated $(b,kill-locality:ID\\@N) (SIGKILL a \
+                   locality once it has completed N tasks), \
+                   $(b,drop-frame:TYPE:PROB) (drop inbound wire frames), \
+                   $(b,delay:Nms) (slow the link).")
   in
   let chaos_seed =
     Arg.(value & opt int 0
@@ -244,10 +239,10 @@ let obs_term =
                    after $(docv) seconds (dist runtime) — a lost reply must \
                    not starve the thief forever.")
   in
-  let combine obs_trace obs_format obs_metrics obs_journal trace_csv
-      obs_monitor no_progress obs_heartbeat obs_depths obs_watchdog
-      obs_failure_timeout obs_lease_timeout obs_max_respawns obs_chaos
-      obs_chaos_seed comm_tick steal_retry =
+  let combine obs_trace obs_format obs_metrics obs_journal obs_monitor
+      no_progress obs_heartbeat obs_depths obs_watchdog obs_failure_timeout
+      obs_lease_timeout obs_max_respawns obs_chaos obs_chaos_seed comm_tick
+      steal_retry =
     let obs_timing =
       match Yewpar_runtime.Config.create ~comm_tick ~steal_retry () with
       | cfg -> cfg
@@ -255,23 +250,15 @@ let obs_term =
         Printf.eprintf "error: %s\n" msg;
         exit 1
     in
-    let rest =
-      { obs_trace; obs_format; obs_metrics; obs_journal; obs_monitor;
-        obs_progress = not no_progress; obs_heartbeat; obs_depths;
-        obs_watchdog; obs_failure_timeout; obs_lease_timeout;
-        obs_max_respawns; obs_chaos; obs_chaos_seed; obs_timing }
-    in
-    match (obs_trace, trace_csv) with
-    | None, Some f ->
-      prerr_endline
-        "yewpar: --trace-csv is deprecated; use --trace FILE --trace-format csv";
-      { rest with obs_trace = Some f; obs_format = Csv }
-    | _ -> rest
+    { obs_trace; obs_format; obs_metrics; obs_journal; obs_monitor;
+      obs_progress = not no_progress; obs_heartbeat; obs_depths;
+      obs_watchdog; obs_failure_timeout; obs_lease_timeout;
+      obs_max_respawns; obs_chaos; obs_chaos_seed; obs_timing }
   in
-  Term.(const combine $ trace $ format $ metrics $ journal $ trace_csv
-        $ monitor $ no_progress $ heartbeat $ depths $ watchdog
-        $ failure_timeout $ lease_timeout $ max_respawns $ chaos $ chaos_seed
-        $ comm_tick $ steal_retry)
+  Term.(const combine $ trace $ format $ metrics $ journal $ monitor
+        $ no_progress $ heartbeat $ depths $ watchdog $ failure_timeout
+        $ lease_timeout $ max_respawns $ chaos $ chaos_seed $ comm_tick
+        $ steal_retry)
 
 let write_file file data =
   Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc data)
@@ -334,25 +321,12 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
   in
   (match runtime with
   | Rt_seq ->
-    let t0 = Unix.gettimeofday () in
-    let (result, stats), elapsed = wall (fun () -> Sequential.search_with_stats p) in
+    let (result, stats), elapsed =
+      wall (fun () ->
+          Telemetry.solo ?sink:telemetry ?journal (fun () ->
+              Sequential.search_with_stats p))
+    in
     stats.Stats.elapsed <- elapsed;
-    Option.iter
-      (fun tl ->
-        Telemetry.add_span tl
-          { Telemetry.locality = 0; worker = 0; kind = Recorder.Task;
-            start = t0; dur = elapsed; arg = stats.Stats.nodes; label = "" })
-      telemetry;
-    Option.iter
-      (fun w ->
-        Journal.write w
-          [
-            Journal.event ~locality:0 ~t:t0 ~ev:"job_start" ~span:0 ();
-            Journal.event ~parent:0 ~locality:0 ~worker:0 ~t:t0 ~dur:elapsed
-              ~value:stats.Stats.nodes ~ev:"task" ~span:1 ();
-            Journal.event ~locality:0 ~dur:elapsed ~ev:"job_done" ~span:0 ();
-          ])
-      journal;
     Printf.printf "result:   %s\n" (show result);
     Format.printf "stats:    %a@." Stats.pp stats;
     Printf.printf "walltime: %.3fs\n" elapsed;

@@ -1,7 +1,7 @@
 module Splitmix = Yewpar_util.Splitmix
 
 type fault =
-  | Kill_locality of { locality : int; after : float }
+  | Kill_locality of { locality : int; after : int }
   | Drop_frame of { frame : string; prob : float }
   | Delay of { seconds : float }
 
@@ -22,14 +22,13 @@ let parse_one spec =
   match String.split_on_char ':' (String.trim spec) with
   | [ "kill-locality"; rest ] -> (
     match String.split_on_char '@' rest with
-    | [ id; at ] -> (
-      match (int_of_string_opt id, float_of_suffixed at "s") with
-      | Some locality, Some after when locality >= 0 && after >= 0. ->
+    | [ id; n ] -> (
+      match (int_of_string_opt id, int_of_string_opt n) with
+      | Some locality, Some after when locality >= 0 && after >= 1 ->
         Ok (Kill_locality { locality; after })
       | _ -> Error (Printf.sprintf "chaos: bad kill-locality spec %S" spec))
     | _ ->
-      Error
-        (Printf.sprintf "chaos: kill-locality wants ID@TIMEs, got %S" spec))
+      Error (Printf.sprintf "chaos: kill-locality wants ID@TASKS, got %S" spec))
   | [ "drop-frame"; frame; prob ] -> (
     match float_of_string_opt prob with
     | Some p when p >= 0. && p <= 1. ->
@@ -76,7 +75,7 @@ let frame_name : Wire.msg -> string = function
   | Quit -> "quit"
 
 type plan = {
-  kill_after : float option;
+  kill_after : int option;
   drops : (string * float) list;
   delay : float;
   rng : Splitmix.gen;
@@ -124,7 +123,7 @@ let describe faults =
     (List.map
        (function
          | Kill_locality { locality; after } ->
-           Printf.sprintf "kill-locality:%d@%gs" locality after
+           Printf.sprintf "kill-locality:%d@%d" locality after
          | Drop_frame { frame; prob } ->
            Printf.sprintf "drop-frame:%s:%g" frame prob
          | Delay { seconds } -> Printf.sprintf "delay:%gms" (seconds *. 1000.))

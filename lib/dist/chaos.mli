@@ -3,9 +3,11 @@
     A chaos specification is a comma-separated list of faults, parsed
     from [--chaos SPEC] on the command line:
 
-    - [kill-locality:ID@TIMEs] — locality [ID] kills itself (SIGKILL,
-      no cleanup, no goodbye frame) [TIME] seconds after it starts:
-      the canonical crash used by the fault-tolerance CI gate.
+    - [kill-locality:ID@N] — locality [ID] kills itself (SIGKILL, no
+      cleanup, no goodbye frame) once it has completed [N] tasks: the
+      canonical crash used by the fault-tolerance CI gate. A task
+      count, not a time, so the crash lands mid-search however fast
+      the machine is.
     - [drop-frame:TYPE:PROB] — each inbound frame of wire type [TYPE]
       (lowercase constructor name, e.g. [steal_reply], [bound_update])
       is silently discarded with probability [PROB]. [Shutdown] is
@@ -14,15 +16,15 @@
     - [delay:Nms] — sleep [N] milliseconds before every outbound
       frame, simulating a slow link.
 
-    Faults compose: ["kill-locality:1@0.2s,delay:5ms"] is a slow
-    cluster that loses locality 1 at 200ms.
+    Faults compose: ["kill-locality:1@10,delay:5ms"] is a slow
+    cluster that loses locality 1 after its tenth task.
 
     Randomized decisions (frame drops) draw from a
     {!Yewpar_util.Splitmix} stream derived from [--chaos-seed] and the
     locality index, so a failing run replays bit-for-bit. *)
 
 type fault =
-  | Kill_locality of { locality : int; after : float }
+  | Kill_locality of { locality : int; after : int }
   | Drop_frame of { frame : string; prob : float }
   | Delay of { seconds : float }
 
@@ -36,8 +38,8 @@ val frame_name : Wire.msg -> string
 (** The lowercase constructor name used by [drop-frame] specs. *)
 
 type plan = {
-  kill_after : float option;
-      (** Seconds after locality start at which to SIGKILL self. *)
+  kill_after : int option;
+      (** Completed-task count at which to SIGKILL self. *)
   drops : (string * float) list;  (** Frame name, drop probability. *)
   delay : float;  (** Seconds to sleep before each outbound frame. *)
   rng : Yewpar_util.Splitmix.gen;

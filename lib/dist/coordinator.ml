@@ -1,8 +1,8 @@
 module Stats = Yewpar_core.Stats
-module Recorder = Yewpar_telemetry.Recorder
 module Metrics = Yewpar_telemetry.Metrics
 module Http_export = Yewpar_telemetry.Http_export
 module Journal = Yewpar_telemetry.Journal
+module Telemetry = Yewpar_telemetry.Telemetry
 module Est = Yewpar_core.Progress
 module Track = Yewpar_telemetry.Progress
 
@@ -12,7 +12,6 @@ type outcome = {
   witness : (int * string) option;
   stats : Stats.t;
   broadcasts : int;
-  telemetry : (float * Recorder.packed list) option array;
   failure : string option;
   dead : bool array;
   abandoned : bool;
@@ -70,7 +69,8 @@ let send_timeout = 5.0
 
 let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     ?(standby_from = max_int) ?(pool_policy = Yewpar_core.Workpool.Depth)
-    ?cancelled ?on_progress ?journal ?trace ?label ~conns ~root_payload () =
+    ?cancelled ?on_progress ?telemetry ?journal ?trace ?label ~conns
+    ~root_payload () =
   let l = Array.length conns in
   let standby_from = min standby_from l in
   let failure_timeout =
@@ -108,9 +108,6 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let eligible i = alive.(i) && not standby.(i) in
   let results : string option array = Array.make l None in
   let stats_got : Stats.t option array = Array.make l None in
-  let telemetry_got : (float * Recorder.packed list) option array =
-    Array.make l None
-  in
   let failure = ref None in
   let global_best = ref min_int in
   (* Best (value, encoded node) the coordinator holds — fed by
@@ -301,38 +298,41 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let label_prefix = match label with Some lb -> lb ^ ": " | None -> "" in
   let fail msg = if !failure = None then failure := Some (label_prefix ^ msg) in
 
-  (* ---------------------- the causal journal ----------------------
+  (* ------------------- the causal journal, the trace -------------------
      Span ids are lease ids; span 0 is the job itself. Coordinator-side
-     events are written directly; locality events arrive staged in
-     Heartbeat/Telemetry frames and get the sender's index and clock
-     offset stamped here. *)
+     lifecycle events are written directly. Locality events arrive as
+     drained ring batches in Heartbeat/Telemetry frames and are folded
+     into both the trace sink and the journal, shifted by the smallest
+     clock-offset estimate seen so far for the sender (transit only
+     ever inflates an estimate). *)
   let trace =
     match trace with
     | Some t -> t
     | None -> (
       match journal with Some w -> Journal.trace w | None -> "run")
   in
-  let jot ?parent ?locality ?worker ?dur ?value ?note ev span =
-    match journal with
-    | None -> ()
-    | Some w ->
-      Journal.write w ~trace
-        [ Journal.event ?parent ?locality ?worker ?dur ?value ?note ~ev ~span () ]
+  let jot ?parent ?locality ?worker ?dur ?value ?note kind span =
+    Option.iter
+      (fun w ->
+        Journal.emit w ~trace ?parent ?locality ?worker ?dur ?value ?note kind
+          ~span)
+      journal
   in
-  let write_events i ~clock events =
-    match journal with
-    | None -> ()
-    | Some w ->
-      if events <> [] then
-        let offset = Unix.gettimeofday () -. clock in
-        Journal.write w ~trace ~offset
-          (List.map
-             (fun (e : Journal.event) ->
-               if e.Journal.locality < 0 then { e with Journal.locality = i }
-               else e)
-             events)
+  let offsets = Array.make l infinity in
+  let tallies = Array.init l (fun _ -> Journal.tally ()) in
+  let offset i ~clock =
+    offsets.(i) <- Float.min offsets.(i) (Unix.gettimeofday () -. clock);
+    offsets.(i)
   in
-  jot "job_start" 0 ~note:(Option.value label ~default:"");
+  let publish i ~offset batches =
+    Option.iter (fun tl -> Telemetry.ingest tl ~locality:i ~offset batches)
+      telemetry;
+    Option.iter
+      (fun w ->
+        Journal.write_batches w ~trace ~offset tallies.(i) ~locality:i batches)
+      journal
+  in
+  jot Journal.Job_start 0 ~note:(Option.value label ~default:"");
 
   (* Death handling is (carefully) reentrant with [send]: [alive] flips
      first, so a send failure discovered while notifying survivors just
@@ -380,7 +380,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     List.iter
       (fun t ->
         Hashtbl.replace revoked t.Pool.id ();
-        jot "lease_revoke" t.Pool.id ~note:"queued")
+        jot Journal.Lease_revoke t.Pool.id ~note:"queued")
       dropped;
     let doomed_out =
       Hashtbl.fold
@@ -391,7 +391,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       (fun (id, lease) ->
         Hashtbl.remove outstanding id;
         Hashtbl.replace revoked id ();
-        jot "lease_revoke" id ~locality:lease.holder ~note:"outstanding")
+        jot Journal.Lease_revoke id ~locality:lease.holder ~note:"outstanding")
       doomed_out;
     let doomed_ret =
       Hashtbl.fold
@@ -402,7 +402,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       (fun id ->
         Hashtbl.remove retired id;
         Hashtbl.replace revoked id ();
-        jot "lease_revoke" id ~note:"retired")
+        jot Journal.Lease_revoke id ~note:"retired")
       doomed_ret;
     List.iter
       (fun (id, lease) ->
@@ -418,7 +418,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
           (* The replay's causal parent is the revoked original, not
              the lease-forest parent: the journal keeps the failed
              attempt and its redo chained together. *)
-          jot "lease_replay" t.Pool.id ~parent:id ~locality:lease.holder;
+          jot Journal.Lease_replay t.Pool.id ~parent:id ~locality:lease.holder;
           Pool.push pool t
         end)
       roots
@@ -431,7 +431,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     if !chosen >= 0 then begin
       standby.(!chosen) <- false;
       incr respawns;
-      jot "respawn" 0 ~locality:!chosen;
+      jot Journal.Respawn 0 ~locality:!chosen;
       if !global_best > min_int then begin
         send !chosen (Wire.Bound_update { value = !global_best; witness = None });
         incr broadcasts
@@ -448,7 +448,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       shed_inflight.(i) <- false;
       if not !shutdown_sent then begin
         incr lost;
-        jot "locality_dead" 0 ~locality:i ~note:reason;
+        jot Journal.Locality_dead 0 ~locality:i ~note:reason;
         if not standby.(i) then begin
           let held =
             Hashtbl.fold
@@ -495,7 +495,8 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
           holder = i;
           issued_at = Unix.gettimeofday ();
         };
-      jot "lease_issue" t.Pool.id ~parent:(max t.Pool.parent 0) ~locality:i;
+      jot Journal.Lease_issue t.Pool.id ~parent:(max t.Pool.parent 0)
+        ~locality:i;
       send i
         (Wire.Steal_reply { task = Some (t.Pool.id, t.Pool.depth, t.Pool.payload) })
     | None -> hungry.(i) <- true
@@ -533,7 +534,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
          re-covered by the replay of a dead ancestor: drop it. *)
       if not (Hashtbl.mem revoked parent) then begin
         let t = fresh_task ~parent ~depth ~priority ~payload in
-        jot "spill" t.Pool.id ~parent:(max parent 0) ~locality:i;
+        jot Journal.Spill t.Pool.id ~parent:(max parent 0) ~locality:i;
         Pool.push pool t
       end
     | Wire.Steal_request ->
@@ -547,7 +548,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
             | Some lease when lease.holder = i ->
               Hashtbl.remove outstanding id;
               Hashtbl.replace retired id delta;
-              jot "lease_retire" id ~locality:i
+              jot Journal.Lease_retire id ~locality:i
                 ~dur:(Unix.gettimeofday () -. lease.issued_at)
             | Some _ | None -> ())
         rs
@@ -555,7 +556,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       (match w with Some payload -> note_witness value payload | None -> ());
       if value > !global_best then begin
         global_best := value;
-        jot "bound" 0 ~locality:i ~value;
+        jot Journal.Bound 0 ~locality:i ~value;
         for j = 0 to l - 1 do
           if j <> i && eligible j then begin
             send j (Wire.Bound_update { value; witness = None });
@@ -565,7 +566,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       end
     | Wire.Witness { value; payload } ->
       note_witness value payload;
-      jot "witness" 0 ~locality:i ~value;
+      jot Journal.Witness 0 ~locality:i ~value;
       broadcast_shutdown ()
     | Wire.Heartbeat
         {
@@ -578,9 +579,9 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
           trace_dropped;
           nodes;
           progress = psample;
-          events;
+          batches;
         } ->
-      write_events i ~clock events;
+      publish i ~offset:(offset i ~clock) batches;
       let now = Unix.gettimeofday () in
       live.(i) <-
         Some
@@ -601,7 +602,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       (match journal with
       | Some _ when now -. !last_psample_jot >= 1.0 ->
         last_psample_jot := now;
-        jot "progress_sample" 0
+        jot Journal.Progress_sample 0
           ~value:(Track.journal_value !last_report)
           ~note:(Track.journal_note !last_report)
       | _ -> ());
@@ -635,13 +636,16 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       broadcast_shutdown ()
     | Wire.Result { payload } -> results.(i) <- Some payload
     | Wire.Stats st -> stats_got.(i) <- Some st
-    | Wire.Telemetry { clock; buffers; events } ->
-      (* Clock-offset estimate: our clock at receipt minus the clock
-         sampled when the frame was built — an upper bound off by the
-         frame's transit time. Adding it to every span start aligns the
-         locality's timeline with ours. *)
-      write_events i ~clock events;
-      telemetry_got.(i) <- Some (Unix.gettimeofday () -. clock, buffers)
+    | Wire.Telemetry { clock; batches } ->
+      (* The final drain: after it, the locality's per-worker idle
+         totals and drop count are complete. *)
+      let offset = offset i ~clock in
+      publish i ~offset batches;
+      Option.iter
+        (fun w ->
+          Journal.write_totals w ~trace ~offset tallies.(i) ~locality:i
+            ~t:clock)
+        journal
     (* Locality-bound messages; never sent to the coordinator. [Pong]
        matters only for the liveness clock, refreshed on any frame. *)
     | Wire.Pong | Wire.Ping | Wire.Steal_reply _ | Wire.Shutdown
@@ -792,14 +796,14 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
         (Est.of_profile stats.Stats.depths)
     in
     last_report := r;
-    jot "progress_sample" 0 ~value:(Track.journal_value r)
+    jot Journal.Progress_sample 0 ~value:(Track.journal_value r)
       ~note:(Track.journal_note r)
   | None -> ());
-  jot "job_done" 0
+  jot Journal.Job_done 0
     ~dur:(Unix.gettimeofday () -. started)
     ~note:(Option.value !failure ~default:"");
   let deltas = Hashtbl.fold (fun _ delta acc -> delta :: acc) retired [] in
   let residuals = Array.to_list results |> List.filter_map Fun.id in
   { deltas; residuals; witness = !witness; stats; broadcasts = !broadcasts;
-    telemetry = telemetry_got; failure = !failure;
+    failure = !failure;
     dead = Array.map not alive; abandoned = !abandoned }

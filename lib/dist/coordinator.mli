@@ -52,13 +52,6 @@ type outcome = {
           fault counters ([localities_lost], [leases_reissued],
           [respawns]). *)
   broadcasts : int;  (** Bound-update messages fanned out. *)
-  telemetry :
-    (float * Yewpar_telemetry.Recorder.packed list) option array;
-      (** Per-locality [(clock_offset, packed span buffers)] from the
-          [Wire.Telemetry] frame, when the run was traced. The offset
-          (coordinator clock at receipt minus the locality's clock
-          sample) shifts that locality's span timestamps onto the
-          coordinator's timeline. *)
   failure : string option;
       (** A locality's failure message, a watchdog report (with
           elapsed time and per-locality last-heartbeat ages), a
@@ -107,6 +100,7 @@ val run :
   ?pool_policy:Yewpar_core.Workpool.policy ->
   ?cancelled:(unit -> string option) ->
   ?on_progress:(progress -> unit) ->
+  ?telemetry:Yewpar_telemetry.Telemetry.t ->
   ?journal:Yewpar_telemetry.Journal.writer ->
   ?trace:string ->
   ?label:string ->
@@ -138,14 +132,18 @@ val run :
     every heartbeat receipt with a {!progress} snapshot (it works
     without [monitor_port]).
 
-    With [journal] the coordinator writes the run's causal event
-    journal ({!Yewpar_telemetry.Journal}): job lifecycle and every
-    lease issue/retire/spill/revoke/replay, bound adoption, death and
+    Localities of a traced or journaled run ship drained event-ring
+    batches in their [Heartbeat]/[Telemetry] frames; each batch is
+    shifted by the sender's clock offset (coordinator clock at receipt
+    minus the frame's clock sample, smallest so far) and fed to both
+    [telemetry] ({!Yewpar_telemetry.Telemetry.ingest}) and [journal]
+    ({!Yewpar_telemetry.Journal.write_batches}) under the sender's
+    index. With [journal] the coordinator also writes the run's
+    lifecycle events directly: job brackets and every lease
+    issue/retire/spill/revoke/replay, bound adoption, death and
     respawn — span ids being lease ids, and a replayed lease's span
-    chained to the revoked original — plus the events localities ship
-    in their [Heartbeat]/[Telemetry] frames, stamped with the sender's
-    index and clock offset. Events are tagged [trace] (default: the
-    writer's trace id). [label] (e.g. ["job 7"]) prefixes failure
+    chained to the revoked original. Events are tagged [trace]
+    (default: the writer's trace id). [label] (e.g. ["job 7"]) prefixes failure
     messages and is recorded on the [job_start] event, keeping
     interleaved job-server output attributable.
 

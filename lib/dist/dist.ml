@@ -4,7 +4,6 @@ module Codec = Yewpar_core.Codec
 module Stats = Yewpar_core.Stats
 module Sequential = Yewpar_core.Sequential
 module Telemetry = Yewpar_telemetry.Telemetry
-module Journal = Yewpar_telemetry.Journal
 
 (* Combine the coordinator's collected results by search kind.
 
@@ -111,8 +110,9 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
               let conn = Transport.create (snd pairs.(i)) in
               (* Heartbeats are always on: they feed the coordinator's
                  failure detector, not just live monitoring. *)
-              Locality.run ~trace:(Option.is_some telemetry)
-                ~journal:(Option.is_some journal) ~heartbeat ?chaos:plans.(i)
+              Locality.run
+                ~record:(telemetry <> None || journal <> None)
+                ~heartbeat ?chaos:plans.(i)
                 ?config:timing ~conn ~workers ~coordination p;
               Transport.close conn;
               0
@@ -174,7 +174,7 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
         Coordinator.run ?watchdog ?monitor_port ?on_monitor
           ~failure_timeout ?lease_timeout ~standby_from:localities
           ~pool_policy:(Yewpar_runtime.Task_pool.policy_for coordination)
-          ~cancelled ?journal ~conns
+          ~cancelled ?telemetry ?journal ~conns
           ~root_payload:(codec.Codec.encode p.Problem.root) ()
       in
       (match outcome.Coordinator.failure with
@@ -186,37 +186,15 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
       (match broadcasts with
       | Some r -> r := outcome.Coordinator.broadcasts
       | None -> ());
-      (match telemetry with
-      | None -> ()
-      | Some tl ->
-        Array.iteri
-          (fun i -> function
-            | None -> ()
-            | Some (offset, buffers) ->
-              Telemetry.ingest tl ~locality:i ~offset buffers)
-          outcome.Coordinator.telemetry);
       combine p codec outcome)
 
 let run ?stats ?broadcasts ?telemetry ?journal ?watchdog ?monitor_port
     ?heartbeat ?failure_timeout ?lease_timeout ?max_respawns ?chaos
     ?chaos_seed ?on_monitor ?timing ~localities ~workers ~coordination p =
   match coordination with
-  | Coordination.Sequential -> (
-    match journal with
-    | None -> Sequential.search ?stats p
-    | Some w ->
-      (* One process, one span: still worth a journal so seq baselines
-         land in the same report pipeline. *)
-      let t0 = Unix.gettimeofday () in
-      Journal.write w [ Journal.event ~t:t0 ~ev:"job_start" ~span:0 () ];
-      let r = Sequential.search ?stats p in
-      let dur = Unix.gettimeofday () -. t0 in
-      Journal.write w
-        [
-          Journal.event ~parent:0 ~worker:0 ~t:t0 ~dur ~ev:"task" ~span:1 ();
-          Journal.event ~dur ~ev:"job_done" ~span:0 ();
-        ];
-      r)
+  | Coordination.Sequential ->
+    Telemetry.solo ?sink:telemetry ?journal (fun () ->
+        Sequential.search ?stats p)
   | Coordination.Depth_bounded _ | Coordination.Stack_stealing _
   | Coordination.Budget _ | Coordination.Best_first _
   | Coordination.Random_spawn _ ->

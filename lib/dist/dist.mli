@@ -74,18 +74,16 @@ val run :
     submissions plus adopted floor broadcasts) plus the fault counters
     ([localities_lost], [leases_reissued], [respawns]);
     [broadcasts] receives the number of bound-update fan-out messages;
-    [telemetry] turns on per-worker span recording inside every
-    locality (preallocated ring buffers, one per worker domain plus
-    one for each communicator thread); at shutdown the localities ship
-    their buffers in a [Wire.Telemetry] frame and the coordinator
-    ingests them into the sink with per-locality clock offsets
-    aligned, so the merged trace has one process group per locality;
-    [journal] turns on causal tracing ({!Yewpar_telemetry.Journal}):
-    the coordinator writes its lease lifecycle directly and every
-    locality stages task/steal/bound/idle events shipped upward in
-    [Heartbeat]/[Telemetry] frames, producing one JSONL event log
-    whose span ids are lease ids ([yewpar analyze --journal] turns it
-    into a critical-path and overhead report);
+    [telemetry] and [journal] turn on per-worker event recording
+    inside every locality (preallocated rings, one per worker domain
+    plus one for each communicator thread), shipped upward in every
+    [Heartbeat] frame and a final [Telemetry] frame; the coordinator
+    feeds each batch, clock-aligned per locality, to the [telemetry]
+    sink (one process group per locality in the merged trace) and the
+    [journal] ({!Yewpar_telemetry.Journal}), where it also writes its
+    lease lifecycle directly — one JSONL event log whose span ids are
+    lease ids ([yewpar analyze --journal] turns it into a
+    critical-path and overhead report);
     [watchdog] bounds the whole run in seconds (a deadlock safety net
     — on expiry the run raises instead of hanging, naming each
     locality's last-heartbeat age).

@@ -1,5 +1,4 @@
 module Recorder = Yewpar_telemetry.Recorder
-module Journal = Yewpar_telemetry.Journal
 module Knowledge = Yewpar_core.Knowledge
 module Ops = Yewpar_core.Ops
 module Problem = Yewpar_core.Problem
@@ -27,7 +26,7 @@ type ledger = {
   residual : unit -> string;  (** Final [Result] payload. *)
 }
 
-let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
+let run (type s n r) ?(record = false) ?heartbeat ?chaos
     ?(config = Config.default) ~conn ~workers ~coordination
     (p : (s, n, r) Problem.t) : unit =
   let codec =
@@ -37,22 +36,26 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
   in
   (* One counter bundle shared with the worker core; one slot per
      worker domain plus one for the communicator thread (slot
-     [workers]: its recorder ships in the Telemetry frame and floor
-     adoptions land in its depth profile at depth 0). *)
+     [workers]: its event ring records wire steals, spills and floor
+     adoptions, which land in its depth profile at depth 0). *)
   let counters = Counters.create ~slots:(workers + 1) () in
+  (* The event rings (traced or journaled runs only). Their one
+     consumer is this communicator: each heartbeat ships what they
+     recorded since the last one, the [Telemetry] frame the rest. Span
+     ids are the lease ids the coordinator issued, so every record
+     links into its lease forest. *)
   let recorders =
-    if trace then Array.init (workers + 1) (fun i -> Recorder.create ~worker:i ())
-    else Array.make (workers + 1) Recorder.null
+    Array.init (workers + 1) (fun i ->
+        if record then Recorder.create ~worker:i () else Recorder.null)
+  in
+  let drain_all () =
+    if record then Array.to_list (Array.map Recorder.drain recorders) else []
   in
   let comms_r = recorders.(workers) in
   let monitored = heartbeat <> None in
   let started = Recorder.clock () in
-  let started_wall = Unix.gettimeofday () in
-  let kill_deadline =
-    match chaos with
-    | Some c ->
-      Option.map (fun after -> started_wall +. after) c.Chaos.kill_after
-    | None -> None
+  let kill_after =
+    match chaos with Some c -> c.Chaos.kill_after | None -> None
   in
   (* Cumulative worker idle seconds for the heartbeat's idle fraction;
      only touched on wakeup, and only when monitoring is on. *)
@@ -64,27 +67,9 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
     in
     go ()
   in
-  (* ---- causal journal staging ----
-     Workers and the communicator push events into a bounded buffer;
-     the heartbeat ships them upward in batches and the final
-     [Telemetry] frame flushes the rest. Span ids are the lease ids the
-     coordinator issued, so everything links into its lease forest; the
-     coordinator stamps our locality index on arrival (we don't know
-     our own). *)
-  let jbuf = if journal then Some (Journal.buffer ~capacity:4096 ()) else None in
-  let jot ?parent ?(worker = -1) ?dur ?value ?note ~t ev span =
-    match jbuf with
-    | None -> ()
-    | Some b ->
-      Journal.push b
-        (Journal.event ?parent ~worker ~t ?dur ?value ?note ~ev ~span ())
-  in
   (* Which lease each worker is currently executing under — written by
-     [begin_task], read for lease attribution of ledger deltas and
-     journal events alike. *)
+     [begin_task], read for lease attribution of ledger deltas. *)
   let cur_lease = Array.make workers (-1) in
-  let task_started = Array.make workers 0. in
-  let idle_per = Array.make workers 0. in
   let tiers =
     Two_tier.create
       ~policy:(Task_pool.policy_for coordination)
@@ -154,14 +139,9 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
   (* Submit wrapper accounting applied incumbent improvements (floor
      raises are accounted by the communicator when it adopts a
      broadcast). *)
-  let submit_acct w n v =
-    let applied =
-      Counters.accounted_submit counters ~slot:w ~recorder:recorders.(w)
-        knowledge.Knowledge.submit n v
-    in
-    if applied then
-      jot "bound" cur_lease.(w) ~worker:w ~value:v ~t:(Unix.gettimeofday ());
-    applied
+  let submit_acct w =
+    Counters.accounted_submit counters ~slot:w ~recorder:recorders.(w)
+      knowledge.Knowledge.submit
   in
 
   (* ------------- per-lease result ledger + worker views -------------
@@ -401,18 +381,8 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
      workers sleep until the coordinator says otherwise), lease
      attribution, and the distributed hunger signal extending
      stack-stealing's local one. *)
-  (* Per-slot idle hooks, hoisted so [take] allocates nothing per call:
-     the global accumulator feeds the heartbeat's idle fraction, the
-     per-slot one the journal's final per-worker idle events. *)
-  let on_idles =
-    if monitored || journal then
-      Array.init workers (fun slot ->
-          Some
-            (fun d ->
-              add_idle d;
-              if journal then idle_per.(slot) <- idle_per.(slot) +. d))
-    else Array.make workers None
-  in
+  (* The idle hook is hoisted so [take] allocates nothing per call. *)
+  let on_idle = if monitored then Some add_idle else None in
   let scheduler =
     {
       Worker.enqueue =
@@ -422,21 +392,26 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
           else enqueue_local ~slot r task);
       take =
         (fun ~slot ->
-          Two_tier.take tiers ~slot ~recorder:recorders.(slot) ~stop
-            ?on_idle:on_idles.(slot) ());
+          Two_tier.take tiers ~slot ~recorder:recorders.(slot) ~stop ?on_idle
+            ());
       finish = (fun () -> Atomic.decr local_outstanding);
       should_shed =
         (fun () -> Two_tier.hungry tiers || Atomic.get global_hungry);
-      begin_task =
-        (fun ~slot t ->
-          ledger.begin_task slot t.Task_pool.tag;
-          if journal then task_started.(slot) <- Unix.gettimeofday ());
+      begin_task = (fun ~slot t -> ledger.begin_task slot t.Task_pool.tag);
       end_task =
-        (fun ~slot ->
-          ledger.end_task slot;
-          if journal then
-            jot "task" cur_lease.(slot) ~worker:slot ~t:task_started.(slot)
-              ~dur:(Unix.gettimeofday () -. task_started.(slot)));
+        (match kill_after with
+        | None -> fun ~slot -> ledger.end_task slot
+        | Some n ->
+          let completed = Atomic.make 0 in
+          fun ~slot ->
+            ledger.end_task slot;
+            (* Chaos crash: no cleanup, no goodbye frame — the
+               coordinator must notice via EOF or heartbeat silence.
+               The task just completed has not counted finished, so
+               its lease is still unretired: the crash always strands
+               work to replay. *)
+            if Atomic.fetch_and_add completed 1 + 1 >= n then
+              Unix.kill (Unix.getpid ()) Sys.sigkill);
     }
   in
   let ctx =
@@ -478,10 +453,9 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
     if !steal_inflight then begin
       steal_inflight := false;
       (* Wire-level steal latency: request sent to task in hand. *)
-      Recorder.span comms_r Recorder.Steal_success ~start:!steal_sent_at
-        ~arg:depth;
-      jot "steal" lease ~worker:workers ~t:!steal_sent_wall
-        ~dur:(Unix.gettimeofday () -. !steal_sent_wall)
+      Recorder.record comms_r Recorder.Steal_success ~start:!steal_sent_at
+        ~dur:(Recorder.now comms_r -. !steal_sent_at)
+        ~arg:depth ~span:lease ~parent:(-1)
     end;
     incr steals;
     ledger.register lease;
@@ -518,9 +492,7 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
            no tree position, so the profile books it at depth 0. *)
         Atomic.incr counters.Counters.bound_updates;
         Depth_profile.note_bound counters.Counters.profs.(workers) 0;
-        Recorder.instant comms_r Recorder.Bound_update ~arg:value;
-        jot "bound" 0 ~worker:workers ~value ~t:(Unix.gettimeofday ())
-          ~note:"floor"
+        Recorder.instant comms_r Recorder.Bound_update ~arg:value
       end
     | Wire.Ping -> send_out Wire.Pong
     | Wire.Shutdown ->
@@ -572,18 +544,11 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
                trace_dropped = all_dropped ();
                nodes = Atomic.get counters.Counters.nodes;
                progress = Counters.progress_sample counters;
-               events =
-                 (match jbuf with Some b -> Journal.drain b | None -> []);
+               batches = drain_all ();
              })
       end
   in
   let communicator_tick () =
-    (match kill_deadline with
-    | Some t when Unix.gettimeofday () >= t ->
-      (* Chaos crash: no cleanup, no goodbye frame — the coordinator
-         must notice via EOF or heartbeat silence. *)
-      Unix.kill (Unix.getpid ()) Sys.sigkill
-    | _ -> ());
     (match Transport.poll ~timeout:config.Config.comm_tick [ conn ] with
     | [] -> ()
     | _ -> List.iter handle_inbound (Transport.pump conn));
@@ -680,43 +645,11 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
   st.Stats.steals <- !steals;
   send_out (Wire.Result { payload });
   (* Telemetry travels before Stats on the same FIFO socket, so the
-     coordinator always has the buffers (and the journal's final
-     flush) by the time the locality counts as done. *)
-  if trace || journal then begin
-    (* Final journal flush: what's still staged, plus per-worker idle
-       totals and the buffer's overflow count (appended after the
-       drain so they can never be dropped themselves). *)
-    let events =
-      match jbuf with
-      | None -> []
-      | Some b ->
-        let t = Unix.gettimeofday () in
-        let staged = Journal.drain b in
-        let idles =
-          Array.to_list
-            (Array.mapi
-               (fun w d ->
-                 Journal.event ~worker:w ~t ~dur:d ~ev:"idle" ~span:0 ())
-               idle_per)
-          |> List.filter (fun (e : Journal.event) -> e.Journal.dur > 0.)
-        in
-        let drops =
-          match Journal.dropped b with
-          | 0 -> []
-          | n -> [ Journal.event ~t ~value:n ~ev:"journal_drop" ~span:0 () ]
-        in
-        staged @ idles @ drops
-    in
+     coordinator always has the final drain by the time the locality
+     counts as done. *)
+  if record then
     send_out
-      (Wire.Telemetry
-         {
-           clock = Recorder.clock ();
-           buffers =
-             (if trace then Array.to_list (Array.map Recorder.export recorders)
-              else []);
-           events;
-         })
-  end;
+      (Wire.Telemetry { clock = Recorder.clock (); batches = drain_all () });
   send_out (Wire.Stats st)
 
 let serve ~conn ~resolve =

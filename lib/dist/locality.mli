@@ -31,8 +31,7 @@
     orphan. *)
 
 val run :
-  ?trace:bool ->
-  ?journal:bool ->
+  ?record:bool ->
   ?heartbeat:float ->
   ?chaos:Chaos.plan ->
   ?config:Yewpar_runtime.Config.t ->
@@ -42,28 +41,26 @@ val run :
   ('s, 'n, 'r) Yewpar_core.Problem.t ->
   unit
 (** Serve tasks until the coordinator broadcasts [Shutdown], then send
-    [Result] (then, when [trace] or [journal] is set, [Telemetry]) and
-    [Stats] and return. With [trace] (default [false]) every worker
-    domain and the communicator thread (worker id = [workers]) record
-    into preallocated {!Yewpar_telemetry.Recorder} ring buffers,
-    shipped upward in the [Telemetry] frame. With [journal] (default
-    [false]) workers stage causal journal events — per-task spans
-    attributed to the lease being executed, applied bound submissions,
-    wire-steal waits, per-worker idle totals and the staging buffer's
-    overflow count — into a bounded buffer drained into each
-    [Heartbeat] frame and flushed in the final [Telemetry] frame; the
-    coordinator owns the journal file and stamps our locality index
-    and clock offset. With [heartbeat] (seconds; the
-    distributed runtime always passes it) the communicator emits a
+    [Result] (then, when [record] is set, [Telemetry]) and [Stats] and
+    return. With [record] (default [false]; set when the run is traced
+    or journaled) every worker domain and the communicator thread
+    (worker id = [workers]) record into preallocated
+    {!Yewpar_telemetry.Recorder} rings — task spans attributed to the
+    lease being executed, applied bounds, wire steals, spills, idle
+    waits — which the communicator drains into each [Heartbeat] frame
+    and, finally, the [Telemetry] frame; the coordinator folds the
+    batches into the trace and the journal. With [heartbeat] (seconds;
+    the distributed runtime always passes it) the communicator emits a
     [Wire.Heartbeat] progress snapshot at that interval — the first
     tick always sends one — feeding both live monitoring and the
     coordinator's failure detector; workers accumulate wall-clock idle
     time for its idle-fraction field. With [chaos] the locality runs
-    its slice of a fault-injection plan: self-SIGKILL at a deadline,
-    probabilistic inbound frame drops, outbound link delay (see
-    {!Chaos}). [config] (default {!Yewpar_runtime.Config.default})
-    sets the communicator tick and the steal-retry timeout. The shipped [Stats] carry per-depth profiles and the
-    recorders' ring-overflow drop count. The problem must carry a task
+    its slice of a fault-injection plan: self-SIGKILL after a number
+    of completed tasks, probabilistic inbound frame drops, outbound
+    link delay (see {!Chaos}). [config] (default
+    {!Yewpar_runtime.Config.default}) sets the communicator tick and
+    the steal-retry timeout. The shipped [Stats] carry per-depth
+    profiles and the rings' drop count. The problem must carry a task
     codec.
     @raise Transport.Closed if the coordinator disappears mid-run. *)
 

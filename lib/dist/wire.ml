@@ -20,14 +20,13 @@ type msg =
           (* cumulative per-depth estimator columns: the coordinator
              replaces (never sums) a locality's previous sample, so
              fusion across localities cannot double-count *)
-      events : Yewpar_telemetry.Journal.event list;
+      batches : Yewpar_telemetry.Recorder.batch list;
     }
   | Result of { payload : string }
   | Stats of Yewpar_core.Stats.t
   | Telemetry of {
       clock : float;
-      buffers : Yewpar_telemetry.Recorder.packed list;
-      events : Yewpar_telemetry.Journal.event list;
+      batches : Yewpar_telemetry.Recorder.batch list;
     }
   | Failed of { message : string }
   | Shutdown

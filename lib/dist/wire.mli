@@ -79,12 +79,14 @@ type msg =
               previous sample rather than summing deltas, so fusing
               across localities (element-wise sum of latest samples)
               cannot double-count stolen or replayed work. *)
-      events : Yewpar_telemetry.Journal.event list;
-          (** Causal journal events staged since the last heartbeat
-              ([[]] when the run is not journaled). Span ids are lease
-              ids, so these link into the coordinator's lease forest;
-              the coordinator stamps the sender's locality index and
-              clock offset before writing them out. *)
+      batches : Yewpar_telemetry.Recorder.batch list;
+          (** The locality's event rings drained since the last
+              heartbeat, one batch per worker plus the communicator
+              ([[]] when the run is neither traced nor journaled).
+              Span ids are lease ids, so the records link into the
+              coordinator's lease forest; the coordinator shifts them
+              by the sender's clock offset and feeds them to both the
+              trace sink and the journal. *)
     }
       (** Locality → coordinator, periodically: a best-effort progress
           snapshot. When monitoring is enabled ([--monitor-port]) the
@@ -104,19 +106,17 @@ type msg =
           counters, aggregated by the coordinator. *)
   | Telemetry of {
       clock : float;
-      buffers : Yewpar_telemetry.Recorder.packed list;
-      events : Yewpar_telemetry.Journal.event list;
+      batches : Yewpar_telemetry.Recorder.batch list;
     }
       (** Locality → coordinator after shutdown (when the run is
           traced or journaled), sent {e before} [Stats] so it always
-          precedes the locality's completion: the packed per-worker
-          span ring buffers (empty unless traced), the final flush of
-          staged journal events (empty unless journaled), plus a
-          sample of the locality's clock taken when the frame was
-          built. The coordinator estimates the per-locality clock
-          offset as [its own clock at receipt - clock] (an upper bound
-          off by the frame's transit time) and shifts the spans and
-          events onto its own timeline before merging. *)
+          precedes the locality's completion: the final drain of the
+          event rings, plus a sample of the locality's clock taken
+          when the frame was built. Like every [Heartbeat], it lets the
+          coordinator estimate the per-locality clock offset as [its
+          own clock at receipt - clock] (an upper bound off by the
+          frame's transit time); the smallest estimate so far shifts
+          the records onto the coordinator's timeline. *)
   | Failed of { message : string }
       (** Locality → coordinator: user code (a generator, bound or
           objective) raised; aborts the whole search. *)

@@ -31,14 +31,14 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
         Progress.update tracker ?final ~now:(Unix.gettimeofday ())
           (Counters.progress_sample counters))
   in
-  (* One span recorder per worker domain (all ring buffers preallocated
-     here, before any domain spawns); [Recorder.null] turns every
-     recording site into a single branch when telemetry is off. *)
+  (* One event ring per worker domain (all preallocated here, before
+     any domain spawns) when the run is traced or journalled;
+     [Recorder.null] turns every recording site into a single branch
+     otherwise. *)
+  let recording = telemetry <> None || journal <> None in
   let recorders =
-    match telemetry with
-    | None -> Array.make n_workers Recorder.null
-    | Some tl ->
-      Array.init n_workers (fun i -> Telemetry.recorder tl ~locality:0 ~worker:i)
+    Array.init n_workers (fun i ->
+        if recording then Recorder.create ~worker:i () else Recorder.null)
   in
   let tiers =
     Two_tier.create
@@ -47,17 +47,11 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
   in
   let outstanding = Atomic.make 0 in
   let stop = Atomic.make false in
-  (* ---- causal journal ----
-     There is no coordinator here, so the runtime allocates its own
-     span ids: every enqueued task gets a fresh span whose parent is
-     the spawning task's span (the root task's parent is span 0, the
-     job). Workers stage into a bounded buffer; a background thread
-     drains it into the writer off the hot path. *)
-  let jbuf = Option.map (fun _ -> Journal.buffer ~capacity:16384 ()) journal in
+  (* There is no coordinator here, so when recording the runtime
+     allocates its own span ids: every enqueued task gets a fresh span
+     whose parent is the spawning task's span (the root task's parent
+     is span 0, the job). *)
   let span_ctr = Atomic.make 1 in
-  let cur_span = Array.make n_workers 0 in
-  let span_started = Array.make n_workers 0. in
-  let idle_per = Array.make n_workers 0. in
   let knowledge = Knowledge.make_atomic () in
   let harness = Ops.harness p.Problem.kind in
   (* Views are created in the main domain (the enumeration harness is
@@ -78,30 +72,22 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
      obtained from a sibling's deque or another slot's pool push is a
      steal. Termination is the classic outstanding-task count hitting
      zero. *)
-  let on_idles =
-    match jbuf with
-    | None -> Array.make n_workers None
-    | Some _ ->
-      Array.init n_workers (fun slot ->
-          Some (fun d -> idle_per.(slot) <- idle_per.(slot) +. d))
-  in
   let scheduler =
     {
       Worker.enqueue =
         (fun ~slot r task ->
           Atomic.incr outstanding;
           let task =
-            match jbuf with
-            | None -> task
-            | Some b ->
+            if not recording then task
+            else begin
               (* Reallocate the tag as this task's span; the tag it was
                  spawned with is the spawning task's span, i.e. the
                  causal parent (0 for the root task: the job span). *)
               let id = Atomic.fetch_and_add span_ctr 1 in
-              Journal.push b
-                (Journal.event ~parent:task.Task_pool.tag ~locality:0
-                   ~ev:"spawn" ~span:id ());
+              Recorder.record r Recorder.Spawn ~start:(Recorder.now r) ~dur:0.
+                ~arg:task.Task_pool.depth ~span:id ~parent:task.Task_pool.tag;
               { task with Task_pool.tag = id }
+            end
           in
           Two_tier.enqueue tiers ~slot ~recorder:r
             ~priority:(task_priority task.Task_pool.node)
@@ -111,28 +97,14 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
           Two_tier.take tiers ~slot ~recorder:recorders.(slot) ~stop
             ~steal_counters:counters
             ~drained:(fun () -> Atomic.get outstanding = 0)
-            ?on_idle:on_idles.(slot) ());
+            ());
       finish =
         (fun () ->
           if Atomic.fetch_and_add outstanding (-1) = 1 then
             Two_tier.broadcast tiers);
       should_shed = (fun () -> Two_tier.hungry tiers);
-      begin_task =
-        (fun ~slot t ->
-          match jbuf with
-          | None -> ()
-          | Some _ ->
-            cur_span.(slot) <- t.Task_pool.tag;
-            span_started.(slot) <- Unix.gettimeofday ());
-      end_task =
-        (fun ~slot ->
-          match jbuf with
-          | None -> ()
-          | Some b ->
-            Journal.push b
-              (Journal.event ~locality:0 ~worker:slot ~t:span_started.(slot)
-                 ~dur:(Unix.gettimeofday () -. span_started.(slot))
-                 ~ev:"task" ~span:cur_span.(slot) ()));
+      begin_task = (fun ~slot:_ _ -> ());
+      end_task = (fun ~slot:_ -> ());
     }
   in
   let ctx =
@@ -239,76 +211,67 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
   in
 
   let started = Unix.gettimeofday () in
-  (match journal with
-  | None -> ()
-  | Some w ->
-    Journal.write w [ Journal.event ~locality:0 ~t:started ~ev:"job_start" ~span:0 () ]);
+  Option.iter
+    (fun w -> Journal.emit w Journal.Job_start ~locality:0 ~t:started ~span:0)
+    journal;
   (* Journalled estimator samples: value = rounded estimated total,
      the rest packed in the note so [analyze --journal] can plot
      estimate-vs-truth convergence after the run. *)
-  let progress_event r =
-    Journal.event ~locality:0 ~t:(Unix.gettimeofday ())
-      ~value:(Progress.journal_value r) ~note:(Progress.journal_note r)
-      ~ev:"progress_sample" ~span:0 ()
+  let sample ?final w =
+    if progress then
+      let r = progress_report ?final () in
+      Journal.emit w Journal.Progress_sample ~locality:0
+        ~value:(Progress.journal_value r) ~note:(Progress.journal_note r)
+        ~span:0
   in
-  (* Background drainer: keeps file I/O off the worker domains. Joined
-     (after a final drain) before the journal is considered complete.
+  (* The rings' one consumer: every drain feeds both the trace sink and
+     the journal, so the two surfaces are folds of the same records. *)
+  let tally = Journal.tally () in
+  let publish () =
+    let batches = Array.to_list (Array.map Recorder.drain recorders) in
+    Option.iter (fun tl -> Telemetry.ingest tl ~locality:0 ~offset:0. batches)
+      telemetry;
+    Option.iter
+      (fun w -> Journal.write_batches w tally ~locality:0 batches)
+      journal
+  in
+  (* Background drainer: keeps draining and file I/O off the worker
+     domains. Joined (before a final drain) once the workers are.
      Every ~1s it also journals a progress sample. *)
   let flusher =
-    match (journal, jbuf) with
-    | Some w, Some b ->
+    if not recording then None
+    else begin
       let stop_flush = Atomic.make false in
       let th =
         Thread.create
           (fun () ->
             let tick = ref 0 in
             while not (Atomic.get stop_flush) do
-              (match Journal.drain b with
-              | [] -> ()
-              | events -> Journal.write w events);
+              publish ();
               incr tick;
-              if progress && !tick mod 20 = 0 then
-                Journal.write w [ progress_event (progress_report ()) ];
+              if !tick mod 20 = 0 then Option.iter sample journal;
               Unix.sleepf 0.05
             done)
           ()
       in
       Some (stop_flush, th)
-    | _ -> None
+    end
   in
   let stop_flusher () =
-    match (flusher, journal, jbuf) with
-    | Some (stop_flush, th), Some w, Some b ->
-      Atomic.set stop_flush true;
-      Thread.join th;
-      let t = Unix.gettimeofday () in
-      let staged = Journal.drain b in
-      let idles =
-        Array.to_list
-          (Array.mapi
-             (fun slot d ->
-               Journal.event ~locality:0 ~worker:slot ~t ~dur:d ~ev:"idle"
-                 ~span:0 ())
-             idle_per)
-        |> List.filter (fun (e : Journal.event) -> e.Journal.dur > 0.)
-      in
-      let drops =
-        match Journal.dropped b with
-        | 0 -> []
-        | n ->
-          [ Journal.event ~locality:0 ~t ~value:n ~ev:"journal_drop" ~span:0 () ]
-      in
-      let final_sample =
-        if progress then [ progress_event (progress_report ~final:true ()) ]
-        else []
-      in
-      Journal.write w
-        (staged @ idles @ drops @ final_sample
-        @ [
-            Journal.event ~locality:0 ~t ~dur:(t -. started) ~ev:"job_done"
-              ~span:0 ();
-          ])
-    | _ -> ()
+    Option.iter
+      (fun (stop_flush, th) ->
+        Atomic.set stop_flush true;
+        Thread.join th;
+        publish ())
+      flusher;
+    Option.iter
+      (fun w ->
+        let t = Unix.gettimeofday () in
+        Journal.write_totals w tally ~locality:0 ~t;
+        sample ~final:true w;
+        Journal.emit w Journal.Job_done ~locality:0 ~t ~dur:(t -. started)
+          ~span:0)
+      journal
   in
   Worker.spawn ctx ~slot:0 { Task_pool.tag = 0; node = p.Problem.root; depth = 0 };
   Fun.protect
@@ -327,32 +290,8 @@ let run ?workers ?stats ?telemetry ?journal ?monitor_port ?on_monitor
     ?progress ~coordination p =
   match coordination with
   | Coordination.Sequential ->
-    let sequential () =
-      match telemetry with
-      | None -> Sequential.search ?stats p
-      | Some tl ->
-        (* One worker, one span covering the whole in-process search. *)
-        let r = Telemetry.recorder tl ~locality:0 ~worker:0 in
-        let started = Recorder.now r in
-        let result = Sequential.search ?stats p in
-        Recorder.span r Recorder.Task ~start:started ~arg:0;
-        result
-    in
-    (match journal with
-    | None -> sequential ()
-    | Some w ->
-      let t0 = Unix.gettimeofday () in
-      Journal.write w
-        [ Journal.event ~locality:0 ~t:t0 ~ev:"job_start" ~span:0 () ];
-      let result = sequential () in
-      let dur = Unix.gettimeofday () -. t0 in
-      Journal.write w
-        [
-          Journal.event ~parent:0 ~locality:0 ~worker:0 ~t:t0 ~dur ~ev:"task"
-            ~span:1 ();
-          Journal.event ~locality:0 ~dur ~ev:"job_done" ~span:0 ();
-        ];
-      result)
+    Telemetry.solo ?sink:telemetry ?journal (fun () ->
+        Sequential.search ?stats p)
   | Coordination.Depth_bounded _ | Coordination.Stack_stealing _
   | Coordination.Budget _ | Coordination.Best_first _ | Coordination.Random_spawn _ ->
     let n_workers =

@@ -37,24 +37,22 @@ val run :
     with per-depth profiles ({!Yewpar_core.Depth_profile}) and the
     recorders' ring-overflow drop count.
 
-    When [telemetry] is supplied, every worker domain gets a
-    preallocated {!Yewpar_telemetry.Recorder} (locality 0, worker =
-    domain index) capturing task-execution, steal, idle-wait,
-    bound-update and pool-depth spans; they are registered in the sink
-    before the domains spawn, so after [run] returns the sink merges
-    and exports them. Tracing never changes the search: the traced and
-    untraced runs process the same nodes.
-
-    When [journal] is supplied, the run appends causal events to it
-    ({!Yewpar_telemetry.Journal}): with no coordinator in this
-    runtime, span ids are allocated from an in-process counter — every
-    enqueued task gets a fresh span (a [spawn] event records its
-    parent, the spawning task's span; the root task is span 1 under
-    the job, span 0), workers emit per-task [task] spans, idle time
-    and buffer-overflow drops, and a background thread drains the
-    staging buffer so file I/O stays off the worker domains.
-    [Sequential] coordination writes a three-event journal
-    (job/single task) so baselines land in the same report pipeline.
+    When [telemetry] or [journal] is supplied, every worker domain
+    records into a preallocated {!Yewpar_telemetry.Recorder} ring
+    (locality 0, worker = domain index): task executions, spawns,
+    steals, idle waits, bound updates and pool depths. With no
+    coordinator in this runtime, span ids are allocated from an
+    in-process counter — every enqueued task gets a fresh span whose
+    [spawn] record names its parent, the spawning task's span (the
+    root task is span 1 under the job, span 0). A background thread
+    drains the rings every 50 ms, off the worker domains, and feeds
+    each drain to both the [telemetry] sink and the [journal]
+    ({!Yewpar_telemetry.Journal.write_batches}), which also gets the
+    job brackets, progress samples, one [idle] total per worker and
+    the drop count. Recording never changes the search: the traced
+    and untraced runs process the same nodes. [Sequential]
+    coordination records one task ({!Yewpar_telemetry.Telemetry.solo})
+    so baselines land in the same pipelines.
 
     When [monitor_port] is supplied (parallel coordinations only; [0]
     binds an ephemeral port reported through [on_monitor]), the run

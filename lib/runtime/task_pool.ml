@@ -8,6 +8,11 @@ type episode = { mutable attempted : bool; mutable dry_since : float }
 
 let new_episode () = { attempted = false; dry_since = 0. }
 
+let record_steal recorder ep tk =
+  let start = ep.dry_since in
+  Recorder.record recorder Recorder.Steal_success ~start
+    ~dur:(Recorder.now recorder -. start) ~arg:0 ~span:tk.tag ~parent:(-1)
+
 (* Provenance wrapper: [src] is the slot that pushed the entry (-1 for
    pushes with no worker identity — wire arrivals, the root seed), so
    [take] can tell a genuine steal from a worker being handed back its
@@ -77,8 +82,7 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
           (* Only a task someone else pushed counts as stolen: being
              handed back our own spill after a wait is just latency. *)
           Atomic.incr c.Counters.steals;
-          Recorder.span recorder Recorder.Steal_success ~start:ep.dry_since
-            ~arg:0
+          record_steal recorder ep tk
         | Some _ | None -> ());
         Task tk
       | None ->

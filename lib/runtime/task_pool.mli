@@ -28,6 +28,10 @@ type episode = { mutable attempted : bool; mutable dry_since : float }
 
 val new_episode : unit -> episode
 
+val record_steal : Yewpar_telemetry.Recorder.t -> episode -> 'n task -> unit
+(** Record the episode's [Steal_success] span (dry pool to task in
+    hand) under the stolen task's span. *)
+
 type 'n t
 
 val create : policy:Yewpar_core.Workpool.policy -> unit -> 'n t

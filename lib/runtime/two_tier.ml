@@ -88,12 +88,11 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
       Recorder.instant recorder Recorder.Steal_attempt ~arg:0
     | Some _ | None -> ()
   in
-  let count_steal () =
+  let count_steal (tk : _ Task_pool.task) =
     match steal_counters with
     | Some (c : Counters.t) ->
       Atomic.incr c.Counters.steals;
-      Recorder.span recorder Recorder.Steal_success
-        ~start:ep.Task_pool.dry_since ~arg:0
+      Task_pool.record_steal recorder ep tk
     | None -> ()
   in
   (* One randomised full circle over the sibling deques. *)
@@ -127,7 +126,7 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
         mark_attempt ();
         match steal_sweep () with
         | Some tk ->
-          count_steal ();
+          count_steal tk;
           got tk
         | None -> (
           match

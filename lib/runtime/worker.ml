@@ -111,6 +111,7 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
   let view = ctx.views.(slot) in
   let c = ctx.counters in
   let tag = task.Task_pool.tag in
+  Recorder.enter r tag;
   let started = Recorder.now r in
   dcell := task.Task_pool.depth;
   (if not (view.Ops.keep task.Task_pool.node) then begin

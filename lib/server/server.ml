@@ -17,7 +17,7 @@ let now () = Unix.gettimeofday ()
 type servable = {
   sv_run :
     heartbeat:float ->
-    journal:bool ->
+    record:bool ->
     conn:Transport.t ->
     workers:int ->
     coordination:Coordination.t ->
@@ -36,8 +36,8 @@ let servable (type s n r) (p : (s, n, r) Problem.t) ~(show : r -> string) =
     Ok
       {
         sv_run =
-          (fun ~heartbeat ~journal ~conn ~workers ~coordination ->
-            Locality.run ~heartbeat ~journal ~conn ~workers ~coordination p);
+          (fun ~heartbeat ~record ~conn ~workers ~coordination ->
+            Locality.run ~heartbeat ~record ~conn ~workers ~coordination p);
         sv_root = codec.Codec.encode p.Problem.root;
         sv_finish =
           (fun outcome -> show (Yewpar_dist.Dist.combine p codec outcome));
@@ -128,12 +128,11 @@ let log t fmt =
    submission/scheduling latency shows up alongside the job's own
    lease tree. *)
 let jot t job_id ?dur ?value ?note ev =
-  match t.journal with
-  | None -> ()
-  | Some w ->
-    Journal.write w
-      ~trace:(Printf.sprintf "job-%d" job_id)
-      [ Journal.event ?dur ?value ?note ~ev ~span:0 () ]
+  Option.iter
+    (fun w ->
+      Journal.emit w ~trace:(Printf.sprintf "job-%d" job_id) ?dur ?value ?note
+        ev ~span:0)
+    t.journal
 
 let count_slots t state =
   Array.fold_left
@@ -216,7 +215,7 @@ let fork_fleet config registry =
                             "serve: job %d running on slot %d (%s/%s)\n%!" job
                             i instance skeleton;
                         sv.sv_run ~heartbeat:config.heartbeat
-                          ~journal:(config.journal <> None)
+                          ~record:(config.journal <> None)
                           ~conn ~workers:config.workers ~coordination))
               in
               Locality.serve ~conn ~resolve;
@@ -354,7 +353,7 @@ let run_job t (job : Job.t) slots =
   jot t job.Job.id
     ~dur:(now () -. job.Job.submitted)
     ~note:(Job.state_name job.Job.state)
-    "job_finished";
+    Journal.Job_finished;
   (match job.Job.state with
   | Job.Done -> Metrics.inc t.m_done
   | Job.Failed _ -> Metrics.inc t.m_failed
@@ -424,7 +423,7 @@ let schedule t =
             ~note:
               (Printf.sprintf "slots [%s]"
                  (String.concat ";" (List.map string_of_int slots)))
-            "job_scheduled";
+            Journal.Job_scheduled;
           t.running <- t.running + 1;
           let th = Thread.create (fun () -> run_job t job slots) () in
           t.job_threads <- th :: t.job_threads;
@@ -504,7 +503,7 @@ let submit t body =
             s.Job.skeleton s.Job.localities;
           jot t id
             ~note:(Printf.sprintf "%s/%s" s.Job.problem s.Job.skeleton)
-            ~value:s.Job.localities "job_submitted";
+            ~value:s.Job.localities Journal.Job_submitted;
           Condition.broadcast t.cond;
           json_response 202 (Job.to_json job)
         end)

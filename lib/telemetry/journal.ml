@@ -2,60 +2,61 @@ module Table = Yewpar_util.Table
 
 let schema_version = 1
 
-(* ----------------------------- events ----------------------------- *)
+(* ------------------------------ kinds ------------------------------ *)
 
-type event = {
-  ev : string;
-  span : int;
-  parent : int;
-  locality : int;
-  worker : int;
-  t : float;
-  dur : float;
-  value : int;
-  note : string;
-}
+type kind =
+  | Job_start
+  | Job_done
+  | Task
+  | Steal
+  | Idle
+  | Bound
+  | Witness
+  | Spawn
+  | Spill
+  | Lease_issue
+  | Lease_retire
+  | Lease_revoke
+  | Lease_replay
+  | Locality_dead
+  | Respawn
+  | Progress_sample
+  | Journal_drop
+  | Job_submitted
+  | Job_scheduled
+  | Job_finished
 
-let event ?(parent = -1) ?(locality = -1) ?(worker = -1) ?t ?(dur = 0.)
-    ?(value = 0) ?(note = "") ~ev ~span () =
-  let t = match t with Some t -> t | None -> Unix.gettimeofday () in
-  { ev; span; parent; locality; worker; t; dur; value; note }
+let kinds =
+  [
+    Job_start; Job_done; Task; Steal; Idle; Bound; Witness; Spawn; Spill;
+    Lease_issue; Lease_retire; Lease_revoke; Lease_replay; Locality_dead;
+    Respawn; Progress_sample; Journal_drop; Job_submitted; Job_scheduled;
+    Job_finished;
+  ]
 
-(* ----------------------------- buffer ----------------------------- *)
+let kind_name = function
+  | Job_start -> "job_start"
+  | Job_done -> "job_done"
+  | Task -> "task"
+  | Steal -> "steal"
+  | Idle -> "idle"
+  | Bound -> "bound"
+  | Witness -> "witness"
+  | Spawn -> "spawn"
+  | Spill -> "spill"
+  | Lease_issue -> "lease_issue"
+  | Lease_retire -> "lease_retire"
+  | Lease_revoke -> "lease_revoke"
+  | Lease_replay -> "lease_replay"
+  | Locality_dead -> "locality_dead"
+  | Respawn -> "respawn"
+  | Progress_sample -> "progress_sample"
+  | Journal_drop -> "journal_drop"
+  | Job_submitted -> "job_submitted"
+  | Job_scheduled -> "job_scheduled"
+  | Job_finished -> "job_finished"
 
-type buffer = {
-  b_mutex : Mutex.t;
-  b_q : event Queue.t;
-  b_capacity : int;
-  mutable b_dropped : int;
-}
-
-let buffer ?(capacity = 4096) () =
-  {
-    b_mutex = Mutex.create ();
-    b_q = Queue.create ();
-    b_capacity = capacity;
-    b_dropped = 0;
-  }
-
-let push b e =
-  Mutex.lock b.b_mutex;
-  if Queue.length b.b_q >= b.b_capacity then b.b_dropped <- b.b_dropped + 1
-  else Queue.push e b.b_q;
-  Mutex.unlock b.b_mutex
-
-let drain b =
-  Mutex.lock b.b_mutex;
-  let out = Queue.fold (fun acc e -> e :: acc) [] b.b_q in
-  Queue.clear b.b_q;
-  Mutex.unlock b.b_mutex;
-  List.rev out
-
-let dropped b =
-  Mutex.lock b.b_mutex;
-  let d = b.b_dropped in
-  Mutex.unlock b.b_mutex;
-  d
+let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
 (* ----------------------------- writer ----------------------------- *)
 
@@ -93,26 +94,6 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?trace ~path () =
 
 let trace w = w.w_trace
 
-let encode_line ~trace ~at e =
-  let open Analyze in
-  let num i = Num (float_of_int i) in
-  to_string
-    (Obj
-       [
-         ("v", num schema_version);
-         ("trace", Str trace);
-         ("ev", Str e.ev);
-         ("span", num e.span);
-         ("parent", if e.parent < 0 then Null else num e.parent);
-         ("loc", num e.locality);
-         ("worker", num e.worker);
-         ("ts", Num e.t);
-         ("at", Num at);
-         ("dur", Num e.dur);
-         ("value", num e.value);
-         ("note", Str e.note);
-       ])
-
 let rotate w =
   close_out_noerr w.w_oc;
   (try Sys.rename w.w_path (w.w_path ^ ".1") with Sys_error _ -> ());
@@ -120,49 +101,116 @@ let rotate w =
   w.w_bytes <- 0;
   w.w_rotations <- w.w_rotations + 1
 
-let write ?trace ?(offset = 0.) w events =
+(* Run [f put] under the writer's lock, then flush; [put] appends one
+   line, translating the emitter clock [t] by [offset] before the
+   epoch-relative [at] is derived. *)
+let lines ?trace ?(offset = 0.) w f =
   let trace = match trace with Some t -> t | None -> w.w_trace in
-  Mutex.lock w.w_mutex;
-  if not w.w_closed then begin
-    List.iter
-      (fun e ->
-        if w.w_bytes > w.w_max_bytes then rotate w;
-        let at = e.t +. offset -. w.w_epoch in
-        let line = encode_line ~trace ~at e in
-        output_string w.w_oc line;
-        output_char w.w_oc '\n';
-        w.w_bytes <- w.w_bytes + String.length line + 1;
-        w.w_written <- w.w_written + 1)
-      events;
-    flush w.w_oc
-  end;
-  Mutex.unlock w.w_mutex
+  let put ~ev ~span ~parent ~locality ~worker ~t ~dur ~value ~note =
+    if w.w_bytes > w.w_max_bytes then rotate w;
+    let open Analyze in
+    let num i = Num (float_of_int i) in
+    let line =
+      to_string
+        (Obj
+           [
+             ("v", num schema_version);
+             ("trace", Str trace);
+             ("ev", Str (kind_name ev));
+             ("span", num span);
+             ("parent", if parent < 0 then Null else num parent);
+             ("loc", num locality);
+             ("worker", num worker);
+             ("ts", Num t);
+             ("at", Num (t +. offset -. w.w_epoch));
+             ("dur", Num dur);
+             ("value", num value);
+             ("note", Str note);
+           ])
+    in
+    output_string w.w_oc line;
+    output_char w.w_oc '\n';
+    w.w_bytes <- w.w_bytes + String.length line + 1;
+    w.w_written <- w.w_written + 1
+  in
+  Mutex.protect w.w_mutex (fun () ->
+      if not w.w_closed then begin
+        f put;
+        flush w.w_oc
+      end)
 
-let written w =
-  Mutex.lock w.w_mutex;
-  let n = w.w_written in
-  Mutex.unlock w.w_mutex;
-  n
+let emit ?trace ?(parent = -1) ?(locality = -1) ?(worker = -1) ?t
+    ?(dur = 0.) ?(value = 0) ?(note = "") w ev ~span =
+  let t = match t with Some t -> t | None -> Unix.gettimeofday () in
+  lines ?trace w (fun put ->
+      put ~ev ~span ~parent ~locality ~worker ~t ~dur ~value ~note)
 
-let rotations w =
-  Mutex.lock w.w_mutex;
-  let n = w.w_rotations in
-  Mutex.unlock w.w_mutex;
-  n
+(* -------------------------- ring drains --------------------------- *)
+
+type tally = { idle : (int, float) Hashtbl.t; mutable drops : int }
+
+let tally () = { idle = Hashtbl.create 8; drops = 0 }
+
+let write_batches ?trace ?offset w tally ~locality batches =
+  lines ?trace ?offset w (fun put ->
+      List.iter
+        (fun (b : Recorder.batch) ->
+          tally.drops <- tally.drops + b.Recorder.b_dropped;
+          let worker = b.Recorder.b_worker in
+          for i = 0 to Recorder.length b - 1 do
+            let line ev =
+              put ~ev ~span:b.Recorder.b_spans.(i)
+                ~parent:b.Recorder.b_parents.(i) ~locality ~worker
+                ~t:b.Recorder.b_starts.(i) ~dur:b.Recorder.b_durs.(i)
+                ~value:b.Recorder.b_args.(i) ~note:""
+            in
+            match Recorder.kind_of_tag b.Recorder.b_tags.(i) with
+            | Recorder.Task -> line Task
+            | Recorder.Spawn -> line Spawn
+            | Recorder.Steal_success -> line Steal
+            | Recorder.Bound_update -> line Bound
+            | Recorder.Idle ->
+              let sum =
+                Option.value ~default:0. (Hashtbl.find_opt tally.idle worker)
+              in
+              Hashtbl.replace tally.idle worker (sum +. b.Recorder.b_durs.(i))
+            | Recorder.Steal_attempt | Recorder.Spill | Recorder.Pool -> ()
+          done)
+        batches)
+
+let write_totals ?trace ?offset w tally ~locality ~t =
+  let idle =
+    Hashtbl.fold (fun k d acc -> (k, d) :: acc) tally.idle []
+    |> List.sort compare
+  in
+  lines ?trace ?offset w (fun put ->
+      List.iter
+        (fun (worker, dur) ->
+          if dur > 0. then
+            put ~ev:Idle ~span:0 ~parent:(-1) ~locality ~worker ~t ~dur
+              ~value:0 ~note:"")
+        idle;
+      if tally.drops > 0 then
+        put ~ev:Journal_drop ~span:0 ~parent:(-1) ~locality ~worker:(-1) ~t
+          ~dur:0. ~value:tally.drops ~note:"");
+  Hashtbl.reset tally.idle;
+  tally.drops <- 0
+
+let written w = Mutex.protect w.w_mutex (fun () -> w.w_written)
+let rotations w = Mutex.protect w.w_mutex (fun () -> w.w_rotations)
 
 let close w =
-  Mutex.lock w.w_mutex;
-  if not w.w_closed then begin
-    w.w_closed <- true;
-    close_out_noerr w.w_oc
-  end;
-  Mutex.unlock w.w_mutex
+  Mutex.protect w.w_mutex (fun () ->
+      if not w.w_closed then begin
+        w.w_closed <- true;
+        close_out_noerr w.w_oc
+      end)
 
 (* ----------------------------- reader ----------------------------- *)
 
 type entry = {
   e_trace : string;
-  e_ev : string;
+  e_ev : kind;
   e_span : int;
   e_parent : int;
   e_locality : int;
@@ -181,9 +229,8 @@ let entry_of_line line =
     let open Analyze in
     let inum d m = int_of_float (num_or (float_of_int d) (member m json)) in
     let v = inum 0 "v" in
-    let ev = str_or "" (member "ev" json) in
-    if v <> schema_version || ev = "" then None
-    else
+    match kind_of_name (str_or "" (member "ev" json)) with
+    | Some ev when v = schema_version ->
       Some
         {
           e_trace = str_or "" (member "trace" json);
@@ -201,6 +248,7 @@ let entry_of_line line =
           e_value = inum 0 "value";
           e_note = str_or "" (member "note" json);
         }
+    | Some _ | None -> None
 
 let read_string content =
   let entries = ref [] in
@@ -311,28 +359,29 @@ let report_trace buf ~top tr entries =
         s
       in
       match e.e_ev with
-      | "job_start" -> ()
-      | "job_done" -> if e.e_dur > 0. then wall := e.e_dur
-      | "lease_issue" -> ignore (define "lease")
-      | "spill" -> ignore (define "spill")
-      | "spawn" -> ignore (define "spawn")
-      | "lease_replay" ->
+      | Job_done -> if e.e_dur > 0. then wall := e.e_dur
+      | Lease_issue -> ignore (define "lease")
+      | Spill -> ignore (define "spill")
+      | Spawn -> ignore (define "spawn")
+      | Lease_replay ->
         incr replays;
         ignore (define "replay")
-      | "lease_revoke" -> (get e.e_span).revoked <- true
-      | "locality_dead" -> incr deaths
-      | "task" ->
+      | Lease_revoke -> (get e.e_span).revoked <- true
+      | Locality_dead -> incr deaths
+      | Task ->
         let s = get e.e_span in
         s.self <- s.self +. e.e_dur;
         s.tasks <- s.tasks + 1;
         s.ivs <- (e.e_at, e.e_at +. e.e_dur) :: s.ivs;
         if s.sp_loc < 0 then s.sp_loc <- e.e_locality
-      | "steal" -> steal_wait := !steal_wait +. e.e_dur
-      | "idle" -> idle := !idle +. e.e_dur
-      | "journal_drop" -> drops := !drops + e.e_value
-      | "progress_sample" ->
+      | Steal -> steal_wait := !steal_wait +. e.e_dur
+      | Idle -> idle := !idle +. e.e_dur
+      | Journal_drop -> drops := !drops + e.e_value
+      | Progress_sample ->
         psamples := (e.e_at, e.e_value, e.e_note) :: !psamples
-      | _ -> ())
+      | Job_start | Bound | Witness | Lease_retire | Respawn | Job_submitted
+      | Job_scheduled | Job_finished ->
+        ())
     entries;
   if !wall <= 0. && !t1 > !t0 then wall := !t1 -. !t0;
   (* The span tree: orphans (no recorded parent) hang off the job span

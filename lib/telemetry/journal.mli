@@ -9,13 +9,12 @@
     runtime allocates spans from its own counter with the same shape
     (root task = span of parent 0).
 
-    Three layers:
-    - {!buffer}: a bounded, thread-safe staging queue for emitters on
-      the hot path (workers, communicators). Overflow drops events and
-      counts them; nothing blocks.
-    - {!writer}: the process that owns the file (coordinator, [yewpar
-      serve], the shm main thread) drains buffers/frames into it. One
-      JSON object per line, versioned schema, size-based rotation.
+    Two layers:
+    - {!emit}/{!write_batches}: the process that owns the file
+      (coordinator, [yewpar serve], the shm main thread) appends
+      lifecycle events directly and folds drained per-worker
+      {!Recorder} batches into lines. One JSON object per line,
+      versioned schema, size-based rotation.
     - {!read}/{!report}: tolerant reader and the [yewpar analyze
       --journal] report (critical path, overhead breakdown, top-K
       leases, flame summary).
@@ -28,66 +27,43 @@
      "value":0,"note":""}
     v}
     [ts] is the emitter's wall clock; [at] is seconds since the
-    writer's epoch on the writer's clock (per-frame offsets align each
+    writer's epoch on the writer's clock (per-batch offsets align each
     locality's [ts] before [at] is derived, so [at] values are
     comparable across processes). [parent] is [null] for root events.
-    Event kinds: [job_start]/[job_done] (span 0), [lease_issue],
-    [lease_retire], [spill], [spawn], [lease_revoke], [lease_replay],
-    [locality_dead], [respawn], [bound], [witness], [task], [steal],
-    [idle], [journal_drop], [progress_sample], and the job server's
-    [job_submitted]/[job_scheduled]/[job_finished]. An unknown kind on
-    a v1 line is a producer bug; extensions must bump the version. *)
+    The event kinds are the closed variant {!kind}; an unknown kind on
+    a v1 line is a producer bug, extensions must bump the version. *)
 
 val schema_version : int
 
-(* ----------------------------- events ----------------------------- *)
+(* ------------------------------ kinds ------------------------------ *)
 
-type event = {
-  ev : string;  (** event kind (see the schema above) *)
-  span : int;  (** subject span; lease/task id, 0 = job *)
-  parent : int;  (** parent span, [-1] = none (root) *)
-  locality : int;
-      (** emitting locality, [-1] = unknown — the coordinator stamps
-          the sender's index into shipped events *)
-  worker : int;  (** worker slot within the locality, [-1] = n/a *)
-  t : float;  (** emitter wall clock, seconds *)
-  dur : float;  (** duration in seconds, [0.] when instantaneous *)
-  value : int;  (** event payload (bound value, drop count, job id) *)
-  note : string;  (** free-form detail *)
-}
+type kind =
+  | Job_start  (** span 0 opens *)
+  | Job_done  (** span 0 closes; [dur] = wall time *)
+  | Task  (** a worker executed a task of [span]; [value] = depth *)
+  | Steal  (** work obtained after a dry spell; [dur] = steal latency *)
+  | Idle  (** one per worker at the end: total blocked time *)
+  | Bound  (** an incumbent improvement; [value] = the bound *)
+  | Witness  (** a decision witness reached the coordinator *)
+  | Spawn  (** shm: task [span] created by task [parent] *)
+  | Spill  (** a locality shed a task; the coordinator made it a lease *)
+  | Lease_issue
+  | Lease_retire
+  | Lease_revoke
+  | Lease_replay  (** [parent] = the revoked original *)
+  | Locality_dead
+  | Respawn
+  | Progress_sample
+  | Journal_drop  (** [value] = records dropped by full rings *)
+  | Job_submitted
+  | Job_scheduled
+  | Job_finished
 
-val event :
-  ?parent:int ->
-  ?locality:int ->
-  ?worker:int ->
-  ?t:float ->
-  ?dur:float ->
-  ?value:int ->
-  ?note:string ->
-  ev:string ->
-  span:int ->
-  unit ->
-  event
-(** Build an event; [t] defaults to [Unix.gettimeofday ()] at the
-    call, the numeric defaults to [-1]/[-1]/[-1]/[0.]/[0], [note] to
-    [""]. *)
+val kinds : kind list
+(** Every constructor, once. *)
 
-(* ----------------------------- buffer ----------------------------- *)
-
-type buffer
-(** A bounded thread-safe event queue. Emitters [push] from any
-    domain/thread; the owner [drain]s. Keeps event emission off the
-    I/O path: a full buffer drops (and counts) instead of blocking. *)
-
-val buffer : ?capacity:int -> unit -> buffer
-(** Default capacity 4096 events. *)
-
-val push : buffer -> event -> unit
-val drain : buffer -> event list
-(** All queued events in emission order; the buffer is left empty. *)
-
-val dropped : buffer -> int
-(** Total events dropped to overflow since creation. *)
+val kind_name : kind -> string
+(** The [ev] field value ([job_start], [lease_issue], ...). *)
 
 (* ----------------------------- writer ----------------------------- *)
 
@@ -104,12 +80,59 @@ val create : ?max_bytes:int -> ?trace:string -> path:string -> unit -> writer
 val trace : writer -> string
 (** The writer's default trace id. *)
 
-val write : ?trace:string -> ?offset:float -> writer -> event list -> unit
-(** Append events, one JSONL line each. [trace] overrides the
-    writer's default trace id; [offset] (default [0.]) is added to
-    each event's [t] to translate the emitter's clock onto the
-    writer's before the epoch-relative [at] field is derived —
-    the coordinator passes [now - frame_clock] per frame. *)
+val emit :
+  ?trace:string ->
+  ?parent:int ->
+  ?locality:int ->
+  ?worker:int ->
+  ?t:float ->
+  ?dur:float ->
+  ?value:int ->
+  ?note:string ->
+  writer ->
+  kind ->
+  span:int ->
+  unit
+(** Append one lifecycle event (job brackets, lease lifecycle, faults,
+    progress samples, serve jobs). [trace] overrides the writer's
+    default trace id; [t] defaults to [Unix.gettimeofday ()], the
+    numeric defaults are [-1]/[-1]/[-1]/[0.]/[0] and [note] [""]. *)
+
+type tally
+(** Per-locality state of the ring fold: idle time per worker and the
+    drop count, written once by {!write_totals}. *)
+
+val tally : unit -> tally
+
+val write_batches :
+  ?trace:string ->
+  ?offset:float ->
+  writer ->
+  tally ->
+  locality:int ->
+  Recorder.batch list ->
+  unit
+(** Fold drained ring records into lines: [Task] records become
+    [task], [Spawn] [spawn], [Steal_success] [steal] and
+    [Bound_update] [bound] lines, each with the record's span, parent,
+    worker, start, duration and argument (as [value]); [Idle] records
+    and drop counts accumulate in the tally; the other ring kinds are
+    trace-only. [offset] (default [0.]) is added to each record's
+    start to translate the emitter's clock onto the writer's before
+    [at] is derived — the coordinator passes its per-locality clock
+    offset. *)
+
+val write_totals :
+  ?trace:string ->
+  ?offset:float ->
+  writer ->
+  tally ->
+  locality:int ->
+  t:float ->
+  unit
+(** Write the tally at emitter time [t] and reset it: one [idle] line
+    per worker that waited, then a [journal_drop] line if any record
+    was dropped. *)
 
 val written : writer -> int
 (** Total events written since [create]. *)
@@ -121,7 +144,7 @@ val close : writer -> unit
 
 type entry = {
   e_trace : string;
-  e_ev : string;
+  e_ev : kind;
   e_span : int;
   e_parent : int;  (** [-1] when the JSON parent is [null] *)
   e_locality : int;
@@ -135,9 +158,9 @@ type entry = {
 
 val read : string -> entry list * int
 (** Read a journal file (prepending [path ^ ".1"] if a rotation
-    exists), skipping lines that fail to parse or carry an unknown
-    schema version. Returns the entries in file order and the number
-    of malformed lines skipped. *)
+    exists), skipping lines that fail to parse, carry an unknown
+    schema version or name an unknown kind. Returns the entries in
+    file order and the number of malformed lines skipped. *)
 
 val read_string : string -> entry list * int
 (** [read] over in-memory JSONL content (one file only). *)

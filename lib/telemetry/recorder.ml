@@ -6,6 +6,7 @@ type kind =
   | Bound_update
   | Spill
   | Pool
+  | Spawn
 
 let kind_name = function
   | Task -> "task"
@@ -15,6 +16,7 @@ let kind_name = function
   | Bound_update -> "bound_update"
   | Spill -> "spill"
   | Pool -> "pool"
+  | Spawn -> "spawn"
 
 let kind_tag = function
   | Task -> 0
@@ -24,6 +26,7 @@ let kind_tag = function
   | Bound_update -> 4
   | Spill -> 5
   | Pool -> 6
+  | Spawn -> 7
 
 let kind_of_tag = function
   | 0 -> Task
@@ -33,10 +36,16 @@ let kind_of_tag = function
   | 4 -> Bound_update
   | 5 -> Spill
   | 6 -> Pool
+  | 7 -> Spawn
   | n -> invalid_arg (Printf.sprintf "Recorder.kind_of_tag: %d" n)
 
-(* Flat parallel arrays, slot = total mod cap: a span is four stores,
-   never an allocation. [last] enforces per-recorder monotonicity. *)
+let default_capacity = 65536
+
+(* Flat parallel arrays, slot = index mod cap: a record is six stores
+   and one atomic publish, never an allocation. [head] (records
+   written) belongs to the producer and [tail] (records drained) to the
+   single consumer; each side only reads the other's counter, so slots
+   in [tail, head) are never written while the consumer reads them. *)
 type t = {
   w : int;
   cap : int;
@@ -44,29 +53,39 @@ type t = {
   starts : float array;
   durs : float array;
   args : int array;
-  mutable total : int;
+  spans : int array;
+  parents : int array;
+  head : int Atomic.t;
+  tail : int Atomic.t;
+  lost : int Atomic.t;
+  mutable reported : int;  (* consumer-side: drops already in a batch *)
+  mutable cur : int;  (* producer-side: the span being executed *)
   mutable last : float;
 }
 
-let create ?(capacity = 65536) ~worker () =
-  if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
+let make ~worker cap =
   {
     w = worker;
-    cap = capacity;
-    tags = Array.make capacity 0;
-    starts = Array.make capacity 0.;
-    durs = Array.make capacity 0.;
-    args = Array.make capacity 0;
-    total = 0;
+    cap;
+    tags = Array.make cap 0;
+    starts = Array.make cap 0.;
+    durs = Array.make cap 0.;
+    args = Array.make cap 0;
+    spans = Array.make cap 0;
+    parents = Array.make cap 0;
+    head = Atomic.make 0;
+    tail = Atomic.make 0;
+    lost = Atomic.make 0;
+    reported = 0;
+    cur = 0;
     last = 0.;
   }
 
-let null =
-  { w = -1; cap = 0; tags = [||]; starts = [||]; durs = [||]; args = [||];
-    total = 0; last = 0. }
+let create ?(capacity = default_capacity) ~worker () =
+  if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
+  make ~worker capacity
 
-let enabled t = t.cap > 0
-let worker t = t.w
+let null = make ~worker:(-1) 0
 
 let clock = Unix.gettimeofday
 
@@ -78,15 +97,26 @@ let now t =
     t.last
   end
 
-let span_dur t k ~start ~dur ~arg =
+let enter t span = if t.cap > 0 then t.cur <- span
+
+let record t k ~start ~dur ~arg ~span ~parent =
   if t.cap > 0 then begin
-    let i = t.total mod t.cap in
-    t.tags.(i) <- kind_tag k;
-    t.starts.(i) <- start;
-    t.durs.(i) <- (if dur < 0. then 0. else dur);
-    t.args.(i) <- arg;
-    t.total <- t.total + 1
+    let h = Atomic.get t.head in
+    if h - Atomic.get t.tail >= t.cap then Atomic.incr t.lost
+    else begin
+      let i = h mod t.cap in
+      t.tags.(i) <- kind_tag k;
+      t.starts.(i) <- start;
+      t.durs.(i) <- (if dur < 0. then 0. else dur);
+      t.args.(i) <- arg;
+      t.spans.(i) <- span;
+      t.parents.(i) <- parent;
+      Atomic.set t.head (h + 1)
+    end
   end
+
+let span_dur t k ~start ~dur ~arg =
+  record t k ~start ~dur ~arg ~span:t.cur ~parent:(-1)
 
 let span t k ~start ~arg =
   if t.cap > 0 then span_dur t k ~start ~dur:(now t -. start) ~arg
@@ -94,28 +124,39 @@ let span t k ~start ~arg =
 let instant t k ~arg =
   if t.cap > 0 then span_dur t k ~start:(now t) ~dur:0. ~arg
 
-let recorded t = t.total
-let dropped t = if t.total > t.cap then t.total - t.cap else 0
+let recorded t = Atomic.get t.head + Atomic.get t.lost
+let dropped t = Atomic.get t.lost
 
-type packed = {
-  p_worker : int;
-  p_tags : int array;
-  p_starts : float array;
-  p_durs : float array;
-  p_args : int array;
-  p_dropped : int;
+type batch = {
+  b_worker : int;
+  b_tags : int array;
+  b_starts : float array;
+  b_durs : float array;
+  b_args : int array;
+  b_spans : int array;
+  b_parents : int array;
+  b_dropped : int;
 }
 
-let export t =
-  let n = min t.total t.cap in
-  (* Oldest surviving span lives at [total mod cap] once wrapped. *)
-  let first = if t.total > t.cap then t.total mod t.cap else 0 in
-  let idx j = (first + j) mod t.cap in
-  {
-    p_worker = t.w;
-    p_tags = Array.init n (fun j -> t.tags.(idx j));
-    p_starts = Array.init n (fun j -> t.starts.(idx j));
-    p_durs = Array.init n (fun j -> t.durs.(idx j));
-    p_args = Array.init n (fun j -> t.args.(idx j));
-    p_dropped = dropped t;
-  }
+let drain t =
+  let lo = Atomic.get t.tail in
+  let hi = Atomic.get t.head in
+  let lost = Atomic.get t.lost in
+  let col a = Array.init (hi - lo) (fun j -> a.((lo + j) mod t.cap)) in
+  let b =
+    {
+      b_worker = t.w;
+      b_tags = col t.tags;
+      b_starts = col t.starts;
+      b_durs = col t.durs;
+      b_args = col t.args;
+      b_spans = col t.spans;
+      b_parents = col t.parents;
+      b_dropped = lost - t.reported;
+    }
+  in
+  t.reported <- lost;
+  Atomic.set t.tail hi;
+  b
+
+let length b = Array.length b.b_tags

@@ -10,59 +10,59 @@ type span = {
 
 let span_name s = if s.label = "" then Recorder.kind_name s.kind else s.label
 
-type t = {
-  capacity : int;
-  mutable recorders : (int * Recorder.t) list;  (* (locality, recorder) *)
-  mutable ingested : (int * float * Recorder.packed) list;
-  mutable extra : span list;  (* newest first *)
-}
+type t = { mutable rev : span list; mutable lost : int }
 
-let create ?(capacity = 65536) () =
-  { capacity; recorders = []; ingested = []; extra = [] }
+let create () = { rev = []; lost = 0 }
 
-let recorder t ~locality ~worker =
-  let r = Recorder.create ~capacity:t.capacity ~worker () in
-  t.recorders <- (locality, r) :: t.recorders;
-  r
+let ingest t ~locality ~offset batches =
+  List.iter
+    (fun (b : Recorder.batch) ->
+      t.lost <- t.lost + b.Recorder.b_dropped;
+      for i = 0 to Recorder.length b - 1 do
+        match Recorder.kind_of_tag b.Recorder.b_tags.(i) with
+        | Recorder.Spawn -> ()
+        | kind ->
+          t.rev <-
+            {
+              locality;
+              worker = b.Recorder.b_worker;
+              kind;
+              start = b.Recorder.b_starts.(i) +. offset;
+              dur = b.Recorder.b_durs.(i);
+              arg = b.Recorder.b_args.(i);
+              label = "";
+            }
+            :: t.rev
+      done)
+    batches
 
-let ingest t ~locality ~offset packs =
-  List.iter (fun p -> t.ingested <- (locality, offset, p) :: t.ingested) packs
-
-let add_span t s = t.extra <- s :: t.extra
-
-let packed_spans ~locality ~offset (p : Recorder.packed) =
-  List.init (Array.length p.Recorder.p_tags) (fun i ->
-      {
-        locality;
-        worker = p.Recorder.p_worker;
-        kind = Recorder.kind_of_tag p.Recorder.p_tags.(i);
-        start = p.Recorder.p_starts.(i) +. offset;
-        dur = p.Recorder.p_durs.(i);
-        arg = p.Recorder.p_args.(i);
-        label = "";
-      })
+let add_span t s = t.rev <- s :: t.rev
 
 let spans t =
-  let live =
-    List.concat_map
-      (fun (locality, r) ->
-        packed_spans ~locality ~offset:0. (Recorder.export r))
-      t.recorders
-  in
-  let shipped =
-    List.concat_map
-      (fun (locality, offset, p) -> packed_spans ~locality ~offset p)
-      t.ingested
-  in
-  List.stable_sort
-    (fun a b -> compare a.start b.start)
-    (live @ shipped @ List.rev t.extra)
+  List.stable_sort (fun a b -> compare a.start b.start) (List.rev t.rev)
 
-let dropped t =
-  List.fold_left (fun acc (_, r) -> acc + Recorder.dropped r) 0 t.recorders
-  + List.fold_left
-      (fun acc (_, _, p) -> acc + p.Recorder.p_dropped)
-      0 t.ingested
+let dropped t = t.lost
+
+let solo ?sink ?journal f =
+  let r =
+    if sink = None && journal = None then Recorder.null
+    else Recorder.create ~capacity:1 ~worker:0 ()
+  in
+  let t0 = Recorder.now r in
+  Option.iter
+    (fun w -> Journal.emit w Journal.Job_start ~locality:0 ~t:t0 ~span:0)
+    journal;
+  let result = f () in
+  let dur = Recorder.now r -. t0 in
+  Recorder.record r Recorder.Task ~start:t0 ~dur ~arg:0 ~span:1 ~parent:0;
+  let batches = [ Recorder.drain r ] in
+  Option.iter (fun tl -> ingest tl ~locality:0 ~offset:0. batches) sink;
+  Option.iter
+    (fun w ->
+      Journal.write_batches w (Journal.tally ()) ~locality:0 batches;
+      Journal.emit w Journal.Job_done ~locality:0 ~dur ~span:0)
+    journal;
+  result
 
 (* ------------------------- Chrome export ------------------------- *)
 
@@ -213,7 +213,8 @@ let metrics t =
       | Recorder.Idle -> Metrics.observe idle_d s.dur
       | Recorder.Bound_update -> Metrics.inc bounds
       | Recorder.Spill -> Metrics.inc spills
-      | Recorder.Pool -> Metrics.observe depth (float_of_int s.arg))
+      | Recorder.Pool -> Metrics.observe depth (float_of_int s.arg)
+      | Recorder.Spawn -> ())
     ss;
   Metrics.inc drops ~by:(dropped t);
   Metrics.set localities (float_of_int (Hashtbl.length locs));

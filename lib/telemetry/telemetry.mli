@@ -1,12 +1,13 @@
 (** Trace assembly and export for the real runtimes.
 
-    A [Telemetry.t] is the sink a run records into: the runtime asks
-    for one {!Recorder} per worker domain ({!recorder}), and — for the
-    distributed runtime — the coordinator {!ingest}s the packed ring
-    buffers each locality ships at shutdown, shifting them by the
-    estimated per-locality clock offset so all spans land on one
-    timeline. After the run, {!spans} merges everything, and the
-    exporters render it:
+    A [Telemetry.t] is the trace sink of a run: whoever drains the
+    per-worker {!Recorder} rings (the shm flusher thread, the dist
+    coordinator receiving each locality's heartbeat batches) {!ingest}s
+    the drained batches, shifted by the estimated clock offset of the
+    recording process so all spans land on one timeline. The journal
+    is the other fold over the same batches
+    ({!Journal.write_batches}). After the run, {!spans} sorts
+    everything, and the exporters render it:
 
     - {!to_chrome} — Chrome trace-event JSON (open in Perfetto or
       chrome://tracing): one process group per locality, one track per
@@ -19,9 +20,7 @@
       log-histograms, pool-depth histogram, event counters, drop
       counts) in Prometheus text exposition format.
 
-    Creating recorders is not thread-safe: runtimes create all
-    recorders before spawning domains. Recording is per-recorder and
-    lock-free. *)
+    A sink is not thread-safe: exactly one thread ingests into it. *)
 
 type span = {
   locality : int;
@@ -38,29 +37,28 @@ type span = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** A fresh sink; [capacity] (default 65536) bounds each recorder's
-    ring buffer. *)
+val create : unit -> t
+(** A fresh, empty sink. *)
 
-val recorder : t -> locality:int -> worker:int -> Recorder.t
-(** A new registered recorder. Call from one thread, before spawning
-    workers. *)
-
-val ingest :
-  t -> locality:int -> offset:float -> Recorder.packed list -> unit
-(** Adopt packed buffers shipped from another process; [offset]
-    (seconds, added to every timestamp) aligns that process's clock
-    with ours. *)
+val ingest : t -> locality:int -> offset:float -> Recorder.batch list -> unit
+(** Adopt drained ring records; [offset] (seconds, added to every
+    timestamp) aligns the recording process's clock with ours.
+    [Spawn] records are journal-only and skipped. *)
 
 val add_span : t -> span -> unit
 (** Append a pre-built span (used to convert simulator traces). *)
 
 val spans : t -> span list
-(** Everything recorded so far, merged and sorted by start time. *)
+(** Everything ingested so far, sorted by start time. *)
 
 val dropped : t -> int
-(** Total ring-overflow drops across all recorders and ingested
-    buffers. *)
+(** Total records lost to full rings across all ingested batches. *)
+
+val solo : ?sink:t -> ?journal:Journal.writer -> (unit -> 'a) -> 'a
+(** Run a one-worker search outside any parallel runtime (the [seq]
+    paths of every runtime) through the same ring fold: one [task]
+    record (span 1 under the job span 0) delivered to [sink] and
+    [journal], the latter bracketed by [job_start]/[job_done]. *)
 
 val to_chrome : t -> string
 (** Chrome trace-event JSON. Timestamps are microseconds relative to

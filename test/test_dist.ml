@@ -15,6 +15,7 @@ module Stats = Yewpar_core.Stats
 module Depth_profile = Yewpar_core.Depth_profile
 module Progress = Yewpar_core.Progress
 module Http_export = Yewpar_telemetry.Http_export
+module Recorder = Yewpar_telemetry.Recorder
 module Queens = Yewpar_queens.Queens
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
@@ -55,10 +56,12 @@ let sample_heartbeat () =
           children = [| 2; 3 |];
           children_sq = [| 4.; 9. |];
         };
-      events =
+      batches =
         [
-          Yewpar_telemetry.Journal.event ~parent:3 ~worker:1 ~t:12.5 ~dur:0.25
-            ~value:2 ~note:"n" ~ev:"task" ~span:9 ();
+          (let r = Recorder.create ~capacity:4 ~worker:1 () in
+           Recorder.record r Recorder.Task ~start:12.5 ~dur:0.25 ~arg:2 ~span:9
+             ~parent:3;
+           Recorder.drain r);
         ];
     }
 
@@ -93,7 +96,7 @@ let heartbeat_roundtrip () =
   | Some
       (Wire.Heartbeat
         { clock; tasks_done; pool_depth; idle_workers; idle_frac; best;
-          trace_dropped; nodes; progress; events }) ->
+          trace_dropped; nodes; progress; batches }) ->
     Alcotest.(check (float 0.)) "clock" 12.625 clock;
     Alcotest.(check int) "tasks_done" 31 tasks_done;
     Alcotest.(check int) "pool_depth" 4 pool_depth;
@@ -105,12 +108,16 @@ let heartbeat_roundtrip () =
     Alcotest.(check int) "progress rows" 2 progress.Yewpar_core.Progress.rows;
     Alcotest.(check (array int)) "progress children" [| 2; 3 |]
       progress.Yewpar_core.Progress.children;
-    (match events with
-    | [ e ] ->
-      Alcotest.(check string) "event kind" "task" e.Yewpar_telemetry.Journal.ev;
-      Alcotest.(check int) "event span" 9 e.Yewpar_telemetry.Journal.span;
-      Alcotest.(check int) "event parent" 3 e.Yewpar_telemetry.Journal.parent
-    | _ -> Alcotest.fail "heartbeat events did not survive the roundtrip")
+    (match batches with
+    | [ b ] ->
+      Alcotest.(check (array int)) "record kind"
+        [| Recorder.kind_tag Recorder.Task |] b.Recorder.b_tags;
+      Alcotest.(check (array int)) "record span" [| 9 |] b.Recorder.b_spans;
+      Alcotest.(check (array int)) "record parent" [| 3 |]
+        b.Recorder.b_parents;
+      Alcotest.(check (array (float 0.))) "record start" [| 12.5 |]
+        b.Recorder.b_starts
+    | _ -> Alcotest.fail "heartbeat batches did not survive the roundtrip")
   | _ -> Alcotest.fail "heartbeat did not decode as a heartbeat"
 
 let roundtrip_bytewise () =
@@ -248,13 +255,13 @@ let fault_spec s =
 
 let chaos_parse_spec () =
   let faults =
-    fault_spec "kill-locality:1@0.2s, drop-frame:Steal_reply:0.25, delay:5ms"
+    fault_spec "kill-locality:1@20, drop-frame:Steal_reply:0.25, delay:5ms"
   in
   Alcotest.(check int) "three faults" 3 (List.length faults);
   (match Chaos.plan faults ~seed:7 ~locality:1 with
   | None -> Alcotest.fail "locality 1 must have a plan"
   | Some plan ->
-    Alcotest.(check (option (float 1e-9))) "kill time" (Some 0.2)
+    Alcotest.(check (option int)) "kill task count" (Some 20)
       plan.Chaos.kill_after;
     Alcotest.(check (float 1e-9)) "delay in seconds" 0.005 plan.Chaos.delay;
     Alcotest.(check bool) "drop spec lowercased" true
@@ -262,11 +269,11 @@ let chaos_parse_spec () =
   (match Chaos.plan faults ~seed:7 ~locality:0 with
   | None -> Alcotest.fail "drops and delay apply to every locality"
   | Some plan ->
-    Alcotest.(check (option (float 1e-9))) "kill targets locality 1 only" None
+    Alcotest.(check (option int)) "kill targets locality 1 only" None
       plan.Chaos.kill_after);
   (* No fault applying to a locality means no plan at all: chaos must
      cost nothing when absent. *)
-  (match Chaos.plan (fault_spec "kill-locality:1@0.2s") ~seed:7 ~locality:0 with
+  (match Chaos.plan (fault_spec "kill-locality:1@20") ~seed:7 ~locality:0 with
   | None -> ()
   | Some _ -> Alcotest.fail "kill-only spec must not plan other localities");
   List.iter
@@ -274,7 +281,8 @@ let chaos_parse_spec () =
       match Chaos.parse bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "bad spec %S accepted" bad))
-    [ ""; "explode"; "kill-locality:x@1s"; "kill-locality:1"; "drop-frame:task:1.5";
+    [ ""; "explode"; "kill-locality:x@1"; "kill-locality:1";
+      "kill-locality:1@0"; "kill-locality:1@0.2s"; "drop-frame:task:1.5";
       "delay:-3ms" ]
 
 let chaos_never_drops_shutdown () =
@@ -516,7 +524,7 @@ let chaos_kill_enumerate () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@8")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -534,7 +542,7 @@ let chaos_kill_optimise () =
   let stats = Stats.create () in
   let node =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.1s")
+      ~chaos:(fault_spec "kill-locality:1@40")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       p
   in
@@ -548,7 +556,7 @@ let chaos_respawn () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2 ~max_respawns:1
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@8")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -584,7 +592,7 @@ let chaos_journal_causality () =
   let r =
     Dist.run ~stats ~journal:w ~watchdog:120. ~localities:3 ~workers:2
       ~max_respawns:1 ~failure_timeout:2.
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@8")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -602,10 +610,12 @@ let chaos_journal_causality () =
       if e.Journal.e_parent >= 0 && not (Hashtbl.mem spans e.Journal.e_parent)
       then
         Alcotest.failf "parent %d of %s span %d does not resolve"
-          e.Journal.e_parent e.Journal.e_ev e.Journal.e_span)
+          e.Journal.e_parent
+          (Journal.kind_name e.Journal.e_ev)
+          e.Journal.e_span)
     entries;
   let by_kind k =
-    List.filter (fun e -> e.Journal.e_ev = k) entries
+    List.filter (fun e -> Journal.kind_name e.Journal.e_ev = k) entries
   in
   let dead =
     match by_kind "locality_dead" with
@@ -616,14 +626,21 @@ let chaos_journal_causality () =
     by_kind "lease_revoke"
     |> List.filter (fun e -> e.Journal.e_note = "outstanding")
   in
-  Alcotest.(check bool) "outstanding leases were revoked" true
-    (revoked_outstanding <> []);
+  Alcotest.(check bool) "the dead holder's outstanding leases were revoked"
+    true
+    (List.exists (fun e -> e.Journal.e_locality = dead) revoked_outstanding);
+  (* Revocation also voids the dead holder's descendants, which may be
+     outstanding on survivors: each revoke names its lease's holder. *)
+  let holder = Hashtbl.create 64 in
+  List.iter
+    (fun e -> Hashtbl.replace holder e.Journal.e_span e.Journal.e_locality)
+    (by_kind "lease_issue");
   List.iter
     (fun e ->
-      Alcotest.(check int)
-        (Printf.sprintf "revoke of span %d names the dead holder"
-           e.Journal.e_span)
-        dead e.Journal.e_locality)
+      Alcotest.(check (option int))
+        (Printf.sprintf "revoke of span %d names its holder" e.Journal.e_span)
+        (Some e.Journal.e_locality)
+        (Hashtbl.find_opt holder e.Journal.e_span))
     revoked_outstanding;
   let revoked_spans =
     List.map (fun e -> e.Journal.e_span) (by_kind "lease_revoke")
@@ -677,7 +694,7 @@ let progress_final_across_replay () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@8")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in

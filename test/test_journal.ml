@@ -1,9 +1,11 @@
-(* Causal journal tests: the bounded staging buffer, the JSONL writer
-   (schema round-trip, clock offsets, size-based rotation), the
-   tolerant reader, the critical-path report on synthetic spans, and
-   an end-to-end shm run. *)
+(* Causal journal tests: the ring fold (overflow counted as
+   journal_drop), the JSONL writer (schema round-trip, clock offsets,
+   size-based rotation), the closed kind set against
+   scripts/validate_journal.py, the tolerant reader, the critical-path
+   report on synthetic spans, and an end-to-end shm run. *)
 
 module Journal = Yewpar_telemetry.Journal
+module Recorder = Yewpar_telemetry.Recorder
 module Shm = Yewpar_par.Shm
 module Coordination = Yewpar_core.Coordination
 module Sequential = Yewpar_core.Sequential
@@ -24,38 +26,57 @@ let with_writer ?max_bytes ?trace f =
 (* ----------------------------- buffer ----------------------------- *)
 
 let buffer_overflow_drops () =
-  (* A full buffer must drop (and count) instead of blocking or
-     growing: emitters sit on the search hot path. *)
-  let b = Journal.buffer ~capacity:4 () in
+  (* A full ring must drop (and count) instead of blocking or growing:
+     emitters sit on the search hot path. The journal reports the
+     count in one journal_drop line. *)
+  with_writer @@ fun path w ->
+  let r = Recorder.create ~capacity:4 ~worker:0 () in
+  let task i =
+    Recorder.record r Recorder.Task ~start:(float_of_int i) ~dur:0. ~arg:0
+      ~span:i ~parent:(-1)
+  in
   for i = 1 to 10 do
-    Journal.push b (Journal.event ~ev:"task" ~span:i ())
+    task i
   done;
-  Alcotest.(check int) "six dropped" 6 (Journal.dropped b);
-  let kept = Journal.drain b in
-  Alcotest.(check int) "four kept" 4 (List.length kept);
-  Alcotest.(check (list int)) "oldest events survive, in order"
-    [ 1; 2; 3; 4 ]
-    (List.map (fun e -> e.Journal.span) kept);
-  Alcotest.(check int) "drain empties" 0 (List.length (Journal.drain b));
-  Journal.push b (Journal.event ~ev:"task" ~span:11 ());
-  Alcotest.(check int) "drained buffer accepts again" 1
-    (List.length (Journal.drain b))
+  Alcotest.(check int) "six dropped" 6 (Recorder.dropped r);
+  let tally = Journal.tally () in
+  Journal.write_batches w tally ~locality:0 [ Recorder.drain r ];
+  Alcotest.(check int) "drain empties" 0 (Recorder.length (Recorder.drain r));
+  task 11;
+  Journal.write_batches w tally ~locality:0 [ Recorder.drain r ];
+  Journal.write_totals w tally ~locality:0 ~t:20.;
+  Journal.close w;
+  let entries, _ = Journal.read path in
+  let spans k =
+    List.filter_map
+      (fun e -> if e.Journal.e_ev = k then Some e.Journal.e_span else None)
+      entries
+  in
+  Alcotest.(check (list int)) "oldest events survive, in order, and the \
+                                drained ring accepts again"
+    [ 1; 2; 3; 4; 11 ] (spans Journal.Task);
+  Alcotest.(check (list int)) "one journal_drop line" [ 6 ]
+    (List.filter_map
+       (fun e ->
+         if e.Journal.e_ev = Journal.Journal_drop then Some e.Journal.e_value
+         else None)
+       entries)
 
 (* ----------------------------- writer ----------------------------- *)
 
 let schema_roundtrip () =
   (* Every field must survive write -> read, including the writer's
      trace stamp and the epoch-relative [at] derived from [t] plus the
-     per-frame clock offset. *)
+     per-batch clock offset. *)
   with_writer ~trace:"t-test" @@ fun path w ->
   let t0 = 1000. in
-  Journal.write w
-    [
-      Journal.event ~parent:3 ~locality:2 ~worker:1 ~t:t0 ~dur:0.5 ~value:42
-        ~note:"hello" ~ev:"task" ~span:7 ();
-    ];
-  Journal.write w ~trace:"t-other" ~offset:10.
-    [ Journal.event ~t:t0 ~ev:"bound" ~span:0 () ];
+  Journal.emit w ~parent:3 ~locality:2 ~worker:1 ~t:t0 ~dur:0.5 ~value:42
+    ~note:"hello" Journal.Task ~span:7;
+  let r = Recorder.create ~worker:0 () in
+  Recorder.record r Recorder.Bound_update ~start:t0 ~dur:0. ~arg:5 ~span:0
+    ~parent:(-1);
+  Journal.write_batches w ~trace:"t-other" ~offset:10. (Journal.tally ())
+    ~locality:1 [ Recorder.drain r ];
   Alcotest.(check int) "written counts" 2 (Journal.written w);
   Journal.close w;
   let entries, malformed = Journal.read path in
@@ -63,7 +84,7 @@ let schema_roundtrip () =
   match entries with
   | [ a; b ] ->
     Alcotest.(check string) "trace" "t-test" a.Journal.e_trace;
-    Alcotest.(check string) "ev" "task" a.Journal.e_ev;
+    Alcotest.(check bool) "ev" true (a.Journal.e_ev = Journal.Task);
     Alcotest.(check int) "span" 7 a.Journal.e_span;
     Alcotest.(check int) "parent" 3 a.Journal.e_parent;
     Alcotest.(check int) "locality" 2 a.Journal.e_locality;
@@ -75,8 +96,11 @@ let schema_roundtrip () =
     Alcotest.(check string) "note" "hello" a.Journal.e_note;
     Alcotest.(check string) "per-write trace override" "t-other"
       b.Journal.e_trace;
+    Alcotest.(check bool) "ring bound_update folds to bound" true
+      (b.Journal.e_ev = Journal.Bound);
+    Alcotest.(check int) "record argument is the value" 5 b.Journal.e_value;
     Alcotest.(check int) "null parent reads as -1" (-1) b.Journal.e_parent;
-    (* Both events carry the same emitter timestamp, but b's frame
+    (* Both events carry the same emitter timestamp, but b's batch
        declared a +10s clock offset — its writer-relative [at] must
        land exactly 10s after a's. *)
     Alcotest.(check (float 1e-6)) "offset shifts at" 10.
@@ -88,7 +112,7 @@ let rotation_at_size_limit () =
      appending to a fresh file; the reader stitches both in order. *)
   with_writer ~max_bytes:2048 @@ fun path w ->
   for i = 1 to 100 do
-    Journal.write w [ Journal.event ~t:(float_of_int i) ~ev:"task" ~span:i () ]
+    Journal.emit w ~t:(float_of_int i) Journal.Task ~span:i
   done;
   Alcotest.(check bool) "rotated at least once" true (Journal.rotations w >= 1);
   Alcotest.(check bool) "rotation file exists" true
@@ -129,6 +153,52 @@ let malformed_lines_tolerated () =
   let entries, malformed = Journal.read_string content in
   Alcotest.(check int) "good lines kept" 2 (List.length entries);
   Alcotest.(check int) "bad lines counted, blanks ignored" 3 malformed
+
+(* ------------------------------ kinds ------------------------------ *)
+
+(* The kind set scripts/validate_journal.py accepts: the quoted names
+   inside its KNOWN_EVENTS = { ... } literal. *)
+let script_kinds () =
+  let src =
+    In_channel.with_open_text "../scripts/validate_journal.py"
+      In_channel.input_all
+  in
+  let start =
+    Str.search_forward (Str.regexp_string "KNOWN_EVENTS = {") src 0
+  in
+  let stop = String.index_from src start '}' in
+  let body = String.sub src start (stop - start) in
+  let re = Str.regexp {|"\([a-z_]+\)"|} in
+  let rec names pos acc =
+    match Str.search_forward re body pos with
+    | i -> names (i + 1) (Str.matched_group 1 body :: acc)
+    | exception Not_found -> List.sort_uniq compare acc
+  in
+  names 0 []
+
+let kinds_match_validator () =
+  let ours = List.sort compare (List.map Journal.kind_name Journal.kinds) in
+  Alcotest.(check int) "kinds lists each constructor once"
+    (List.length Journal.kinds)
+    (List.length (List.sort_uniq compare ours));
+  Alcotest.(check (list string)) "validate_journal.py knows exactly our kinds"
+    ours (script_kinds ())
+
+let kinds_roundtrip () =
+  (* Every constructor written by the writer reads back as itself. *)
+  with_writer @@ fun path w ->
+  List.iter (fun k -> Journal.emit w k ~span:1) Journal.kinds;
+  Journal.close w;
+  let content = In_channel.with_open_text path In_channel.input_all in
+  let entries, malformed = Journal.read_string content in
+  Alcotest.(check int) "no malformed lines" 0 malformed;
+  Alcotest.(check (list string)) "every kind round-trips"
+    (List.map Journal.kind_name Journal.kinds)
+    (List.map (fun e -> Journal.kind_name e.Journal.e_ev) entries);
+  List.iter2
+    (fun k e ->
+      Alcotest.(check bool) (Journal.kind_name k) true (e.Journal.e_ev = k))
+    Journal.kinds entries
 
 (* ----------------------------- report ----------------------------- *)
 
@@ -214,7 +284,7 @@ let shm_end_to_end () =
   Journal.close w;
   let entries, malformed = Journal.read path in
   Alcotest.(check int) "no malformed lines" 0 malformed;
-  let kinds = List.map (fun e -> e.Journal.e_ev) entries in
+  let kinds = List.map (fun e -> Journal.kind_name e.Journal.e_ev) entries in
   Alcotest.(check string) "opens with job_start" "job_start" (List.hd kinds);
   Alcotest.(check string) "closes with job_done" "job_done"
     (List.nth kinds (List.length kinds - 1));
@@ -230,7 +300,9 @@ let shm_end_to_end () =
       if e.Journal.e_parent >= 0 && not (Hashtbl.mem spans e.Journal.e_parent)
       then
         Alcotest.failf "parent %d of %s span %d does not resolve"
-          e.Journal.e_parent e.Journal.e_ev e.Journal.e_span)
+          e.Journal.e_parent
+          (Journal.kind_name e.Journal.e_ev)
+          e.Journal.e_span)
     entries;
   (* One trace, and the report pipeline accepts the file whole. *)
   let report = Journal.report entries in
@@ -248,7 +320,7 @@ let seq_runtime_journal () =
   Alcotest.(check int) "no malformed lines" 0 malformed;
   Alcotest.(check (list string)) "job_start, task, job_done"
     [ "job_start"; "task"; "job_done" ]
-    (List.map (fun e -> e.Journal.e_ev) entries)
+    (List.map (fun e -> Journal.kind_name e.Journal.e_ev) entries)
 
 let () =
   Alcotest.run "journal"
@@ -263,6 +335,13 @@ let () =
             rotation_at_size_limit;
           Alcotest.test_case "malformed lines tolerated" `Quick
             malformed_lines_tolerated;
+        ] );
+      ( "kinds",
+        [
+          Alcotest.test_case "match validate_journal.py" `Quick
+            kinds_match_validator;
+          Alcotest.test_case "round-trip through read_string" `Quick
+            kinds_roundtrip;
         ] );
       ( "report",
         [

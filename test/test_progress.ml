@@ -238,7 +238,7 @@ let shm_journal_samples () =
   Sys.remove path;
   Alcotest.(check int) "no malformed lines" 0 malformed;
   let samples =
-    List.filter (fun e -> e.Journal.e_ev = "progress_sample") entries
+    List.filter (fun e -> e.Journal.e_ev = Journal.Progress_sample) entries
   in
   Alcotest.(check bool) "at least one sample" true (List.length samples >= 1);
   let final = List.nth samples (List.length samples - 1) in
@@ -248,7 +248,9 @@ let shm_journal_samples () =
   Alcotest.(check int) "final sample carries the total" st.Stats.nodes
     final.Journal.e_value;
   match List.rev entries with
-  | last :: _ -> Alcotest.(check string) "job_done still last" "job_done" last.Journal.e_ev
+  | last :: _ ->
+    Alcotest.(check string) "job_done still last" "job_done"
+      (Journal.kind_name last.Journal.e_ev)
   | [] -> Alcotest.fail "empty journal"
 
 (* Stats.pp surfaces the progress block at quiescence. *)

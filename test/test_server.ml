@@ -81,6 +81,21 @@ let poll_terminal id =
 
 let state doc = J.str_or "?" (J.member "state" doc)
 
+(* The scheduler thread starts an accepted job asynchronously: wait
+   until job [id] has left the queue, so a test that fills the queue
+   next does not race it. *)
+let started id =
+  let deadline = Unix.gettimeofday () +. 60. in
+  let rec go () =
+    let _, body = http (Printf.sprintf "/jobs/%d" id) in
+    if state (J.parse_json body) = "queued" && Unix.gettimeofday () < deadline
+    then begin
+      Unix.sleepf 0.005;
+      go ()
+    end
+  in
+  go ()
+
 (* Unwrap a nested object member ([J.member] is option-returning). *)
 let sub name doc = Option.value ~default:J.Null (J.member name doc)
 
@@ -177,6 +192,8 @@ let test_stats_isolation () =
 let test_cancel_frees_slots () =
   let a = submitted long_job "depthbounded:2" in
   let b = submitted "queens-10" "depthbounded:2" in
+  started a;
+  started b;
   let c = submitted "queens-8" "depthbounded:2" in
   (* Both slots are taken by a and b, so c must wait. *)
   let _, body = http (Printf.sprintf "/jobs/%d" c) in
@@ -210,6 +227,7 @@ let test_queue_overflow () =
   (* 2 running + queue_depth 2 waiting fills the server. *)
   let running = [ submitted long_job "depthbounded:2";
                   submitted long_job "depthbounded:2" ] in
+  List.iter started running;
   let queued = [ submitted "queens-8" "depthbounded:2";
                  submitted "queens-8" "budget:1000" ] in
   let status, body = post_job "queens-8" "depthbounded:2" in
@@ -316,7 +334,7 @@ let test_serve_journal () =
     List.filter (fun e -> e.Journal.e_trace = trace) entries
   in
   Alcotest.(check bool) "job has journal events" true (mine <> []);
-  let evs = List.map (fun e -> e.Journal.e_ev) mine in
+  let evs = List.map (fun e -> Journal.kind_name e.Journal.e_ev) mine in
   List.iter
     (fun ev ->
       Alcotest.(check bool)
@@ -331,7 +349,9 @@ let test_serve_journal () =
     (List.mem "job_start" evs && List.mem "job_done" evs);
   (* Submission order: submitted before scheduled before finished. *)
   let first ev =
-    match List.find_opt (fun e -> e.Journal.e_ev = ev) mine with
+    match
+      List.find_opt (fun e -> Journal.kind_name e.Journal.e_ev = ev) mine
+    with
     | Some e -> e.Journal.e_ts
     | None -> nan
   in

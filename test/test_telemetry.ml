@@ -7,6 +7,7 @@
 module Recorder = Yewpar_telemetry.Recorder
 module Metrics = Yewpar_telemetry.Metrics
 module Telemetry = Yewpar_telemetry.Telemetry
+module Journal = Yewpar_telemetry.Journal
 module Coordination = Yewpar_core.Coordination
 module Stats = Yewpar_core.Stats
 module Shm = Yewpar_par.Shm
@@ -158,25 +159,72 @@ let test_ring_overflow () =
   done;
   Alcotest.(check int) "recorded" 10 (Recorder.recorded r);
   Alcotest.(check int) "dropped" 6 (Recorder.dropped r);
-  let p = Recorder.export r in
-  Alcotest.(check int) "packed drop count" 6 p.Recorder.p_dropped;
-  Alcotest.(check int) "survivors" 4 (Array.length p.Recorder.p_starts);
-  (* The newest spans survive, exported oldest-first. *)
+  let b = Recorder.drain r in
+  Alcotest.(check int) "batch drop count" 6 b.Recorder.b_dropped;
+  Alcotest.(check int) "survivors" 4 (Recorder.length b);
+  (* A full ring refuses the newest: the oldest spans survive, drained
+     oldest-first. *)
   Alcotest.(check (array (float 1e-9)))
-    "newest retained, in order" [| 6.; 7.; 8.; 9. |] p.Recorder.p_starts;
-  Alcotest.(check (array int)) "args follow" [| 6; 7; 8; 9 |] p.Recorder.p_args
+    "oldest retained, in order" [| 0.; 1.; 2.; 3. |] b.Recorder.b_starts;
+  Alcotest.(check (array int)) "args follow" [| 0; 1; 2; 3 |] b.Recorder.b_args;
+  Alcotest.(check int) "drops are reported once" 0
+    (Recorder.drain r).Recorder.b_dropped
 
 let test_ring_no_overflow () =
   let r = Recorder.create ~capacity:8 ~worker:1 () in
   Recorder.instant r Recorder.Bound_update ~arg:42;
   Recorder.span_dur r Recorder.Idle ~start:1. ~dur:2. ~arg:0;
   Alcotest.(check int) "dropped" 0 (Recorder.dropped r);
-  let p = Recorder.export r in
-  Alcotest.(check int) "both exported" 2 (Array.length p.Recorder.p_tags);
-  Alcotest.(check int) "worker id" 1 p.Recorder.p_worker;
-  let kinds = Array.map Recorder.kind_of_tag p.Recorder.p_tags in
+  let b = Recorder.drain r in
+  Alcotest.(check int) "both drained" 2 (Recorder.length b);
+  Alcotest.(check int) "worker id" 1 b.Recorder.b_worker;
+  let kinds = Array.map Recorder.kind_of_tag b.Recorder.b_tags in
   Alcotest.(check bool) "kinds round-trip" true
-    (kinds = [| Recorder.Bound_update; Recorder.Idle |])
+    (kinds = [| Recorder.Bound_update; Recorder.Idle |]);
+  Alcotest.(check (array int)) "records carry the job span by default"
+    [| 0; 0 |] b.Recorder.b_spans
+
+(* One producer domain records into a small ring while the consumer
+   drains it in a loop: every record comes out exactly once, in
+   recording order and untorn, or is counted as dropped. *)
+let test_drain_stress () =
+  let n = 200_000 in
+  let r = Recorder.create ~capacity:64 ~worker:0 () in
+  let writer =
+    Domain.spawn (fun () ->
+        for i = 0 to n - 1 do
+          Recorder.record r Recorder.Task ~start:(float_of_int i) ~dur:0.
+            ~arg:i ~span:i ~parent:(i + 1)
+        done)
+  in
+  let drained = ref 0 and dropped = ref 0 and next = ref 0 and ok = ref true in
+  let take () =
+    let b = Recorder.drain r in
+    dropped := !dropped + b.Recorder.b_dropped;
+    for j = 0 to Recorder.length b - 1 do
+      let i = b.Recorder.b_args.(j) in
+      if
+        i < !next
+        || b.Recorder.b_spans.(j) <> i
+        || b.Recorder.b_parents.(j) <> i + 1
+        || b.Recorder.b_starts.(j) <> float_of_int i
+      then ok := false;
+      next := i + 1;
+      incr drained
+    done
+  in
+  while Recorder.recorded r < n do
+    take ()
+  done;
+  Domain.join writer;
+  take ();
+  Alcotest.(check bool) "per-ring FIFO, no duplicate, no torn record" true !ok;
+  Alcotest.(check int) "every record drained or counted dropped" n
+    (!drained + !dropped);
+  Alcotest.(check int) "drops agree with the ring" (Recorder.dropped r)
+    !dropped;
+  Alcotest.(check bool) "the consumer kept up at least partly" true
+    (!drained > 0)
 
 let test_null_recorder () =
   Recorder.span_dur Recorder.null Recorder.Task ~start:0. ~dur:1. ~arg:0;
@@ -252,14 +300,34 @@ let test_prometheus_syntax () =
 
 (* ------------------------- trace exporters ------------------------ *)
 
-let test_chrome_export () =
+(* A sink holding what [record] wrote into one ring per (locality,
+   worker). *)
+let sink_of rings =
   let tl = Telemetry.create () in
-  let r0 = Telemetry.recorder tl ~locality:0 ~worker:0 in
-  let r1 = Telemetry.recorder tl ~locality:1 ~worker:0 in
-  Recorder.span_dur r0 Recorder.Task ~start:1. ~dur:0.25 ~arg:3;
-  Recorder.instant r0 Recorder.Bound_update ~arg:7;
-  Recorder.span_dur r1 Recorder.Task ~start:1.5 ~dur:0.5 ~arg:1;
-  Recorder.instant r1 Recorder.Pool ~arg:4;
+  List.iter
+    (fun (locality, worker, record) ->
+      let r = Recorder.create ~worker () in
+      record r;
+      Telemetry.ingest tl ~locality ~offset:0. [ Recorder.drain r ])
+    rings;
+  tl
+
+let test_chrome_export () =
+  let tl =
+    sink_of
+      [
+        ( 0,
+          0,
+          fun r ->
+            Recorder.span_dur r Recorder.Task ~start:1. ~dur:0.25 ~arg:3;
+            Recorder.instant r Recorder.Bound_update ~arg:7 );
+        ( 1,
+          0,
+          fun r ->
+            Recorder.span_dur r Recorder.Task ~start:1.5 ~dur:0.5 ~arg:1;
+            Recorder.instant r Recorder.Pool ~arg:4 );
+      ]
+  in
   let json = parse_json (Telemetry.to_chrome tl) in
   let events = get_events json in
   Alcotest.(check bool) "has events" true (events <> []);
@@ -292,12 +360,22 @@ let test_chrome_export () =
   Alcotest.(check (list (float 0.))) "one pid per locality" [ 0.; 1. ] pids
 
 let test_csv_export () =
-  let tl = Telemetry.create () in
-  let r0 = Telemetry.recorder tl ~locality:0 ~worker:0 in
-  let r1 = Telemetry.recorder tl ~locality:1 ~worker:2 in
-  Recorder.span_dur r0 Recorder.Task ~start:2. ~dur:0.5 ~arg:0;
-  Recorder.span_dur r1 Recorder.Idle ~start:2.5 ~dur:0.25 ~arg:0;
-  Recorder.instant r1 Recorder.Pool ~arg:9 (* pool samples are not rows *);
+  let tl =
+    sink_of
+      [
+        ( 0,
+          0,
+          fun r -> Recorder.span_dur r Recorder.Task ~start:2. ~dur:0.5 ~arg:0 );
+        ( 1,
+          2,
+          fun r ->
+            Recorder.span_dur r Recorder.Idle ~start:2.5 ~dur:0.25 ~arg:0;
+            (* pool samples and spawns are not rows *)
+            Recorder.instant r Recorder.Pool ~arg:9;
+            Recorder.record r Recorder.Spawn ~start:3. ~dur:0. ~arg:1 ~span:2
+              ~parent:1 );
+      ]
+  in
   let lines =
     Telemetry.to_csv tl |> String.trim |> String.split_on_char '\n'
   in
@@ -314,7 +392,7 @@ let test_clock_offset_ingest () =
   let tl = Telemetry.create () in
   let r = Recorder.create ~worker:0 () in
   Recorder.span_dur r Recorder.Task ~start:100. ~dur:1. ~arg:0;
-  Telemetry.ingest tl ~locality:3 ~offset:50. [ Recorder.export r ];
+  Telemetry.ingest tl ~locality:3 ~offset:50. [ Recorder.drain r ];
   match Telemetry.spans tl with
   | [ s ] ->
     Alcotest.(check (float 1e-9)) "offset applied" 150. s.Telemetry.start;
@@ -393,6 +471,96 @@ let test_dist_traced () =
     |> List.sort_uniq compare
   in
   Alcotest.(check (list (float 0.))) "a process per locality" [ 0.; 1. ] pids
+
+(* The journal and the trace are two folds of the same ring records:
+   every journal [task] line has exactly one Chrome [task] span on the
+   same locality and worker starting at the same instant, and every
+   journal [steal] line one [steal_success] span. The two timelines
+   differ only by a constant (the journal counts from the writer's
+   epoch, Chrome from the earliest span), so after sorting each
+   worker's records the per-pair differences must agree to within
+   half a microsecond. *)
+let check_same_records ~what lines spans =
+  let by_key l =
+    let t = Hashtbl.create 8 in
+    List.iter
+      (fun (k, ts) ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt t k) in
+        Hashtbl.replace t k (ts :: prev))
+      l;
+    Hashtbl.fold (fun k v acc -> (k, List.sort compare v) :: acc) t []
+    |> List.sort compare
+  in
+  let lk = by_key lines and sk = by_key spans in
+  Alcotest.(check (list (pair int int)))
+    (what ^ ": same workers") (List.map fst lk) (List.map fst sk);
+  let diffs =
+    List.concat_map
+      (fun ((k, ls), (_, ss)) ->
+        if List.length ls <> List.length ss then
+          Alcotest.failf "%s: worker %d.%d has %d journal lines, %d spans" what
+            (fst k) (snd k) (List.length ls) (List.length ss);
+        List.map2 (fun l s -> s -. l) ls ss)
+      (List.combine lk sk)
+  in
+  match diffs with
+  | [] -> ()
+  | d0 :: _ ->
+    List.iter
+      (fun d ->
+        if Float.abs (d -. d0) >= 0.5 then
+          Alcotest.failf "%s: a start differs by %.3fus between the surfaces"
+            what (d -. d0))
+      diffs
+
+let check_cross_surface ~tasks run =
+  let path = Filename.temp_file "yewpar_cross" ".jsonl" in
+  let w = Journal.create ~path () in
+  let tl = Telemetry.create () in
+  Alcotest.(check int) "queens-10" 724 (run ~telemetry:tl ~journal:w);
+  Journal.close w;
+  let entries, malformed = Journal.read path in
+  Sys.remove path;
+  Alcotest.(check int) "no malformed lines" 0 malformed;
+  let lines k =
+    List.filter_map
+      (fun e ->
+        if e.Journal.e_ev = k then
+          Some
+            ( (e.Journal.e_locality, e.Journal.e_worker),
+              e.Journal.e_at *. 1e6 )
+        else None)
+      entries
+  in
+  let spans name =
+    get_events (parse_json (Telemetry.to_chrome tl))
+    |> List.filter_map (fun ev ->
+           match member "name" ev with
+           | Some (J_str n) when n = name && str_field "ph" ev <> "M" ->
+             let id k = int_of_float (num_field k ev) in
+             Some ((id "pid", id "tid"), num_field "ts" ev)
+           | _ -> None)
+  in
+  Alcotest.(check int) "journal task lines" tasks
+    (List.length (lines Journal.Task));
+  Alcotest.(check int) "chrome task spans" tasks (List.length (spans "task"));
+  check_same_records ~what:"task" (lines Journal.Task) (spans "task");
+  check_same_records ~what:"steal" (lines Journal.Steal)
+    (spans "steal_success");
+  let idle = List.map fst (lines Journal.Idle) in
+  Alcotest.(check int) "at most one idle line per worker"
+    (List.length (List.sort_uniq compare idle)) (List.length idle)
+
+let queens_10_tasks = 83 (* depthbounded:2: the root, 10 + 72 children *)
+
+let test_cross_surface_dist () =
+  check_cross_surface ~tasks:queens_10_tasks (fun ~telemetry ~journal ->
+      Dist.run ~watchdog:120. ~telemetry ~journal ~localities:2 ~workers:1
+        ~coordination (queens_n 10))
+
+let test_cross_surface_shm () =
+  check_cross_surface ~tasks:queens_10_tasks (fun ~telemetry ~journal ->
+      Shm.run ~workers:2 ~telemetry ~journal ~coordination (queens_n 10))
 
 (* ------------------------- HTTP exporter ------------------------- *)
 
@@ -489,7 +657,8 @@ let () =
     [
       ( "recorder",
         [
-          Alcotest.test_case "ring overflow drops oldest" `Quick test_ring_overflow;
+          Alcotest.test_case "ring overflow drops newest" `Quick
+            test_ring_overflow;
           Alcotest.test_case "no overflow round-trip" `Quick test_ring_no_overflow;
           Alcotest.test_case "null recorder" `Quick test_null_recorder;
         ] );
@@ -512,7 +681,17 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "dist traced run" `Quick test_dist_traced;
+          Alcotest.test_case "dist journal matches trace" `Quick
+            test_cross_surface_dist;
           Alcotest.test_case "shm traced run" `Quick test_shm_traced;
+          Alcotest.test_case "shm journal matches trace" `Quick
+            test_cross_surface_shm;
+        ] );
+      (* Spawns a domain: after every fork. *)
+      ( "drain",
+        [
+          Alcotest.test_case "concurrent drain stress" `Quick
+            test_drain_stress;
         ] );
       (* After end-to-end: Http.start spawns a domain. *)
       ( "http",
