@@ -225,10 +225,11 @@ let obs_term =
     Arg.(value
          & opt float Yewpar_runtime.Config.default.Yewpar_runtime.Config.comm_tick
          & info [ "comm-tick" ] ~docv:"SECONDS"
-             ~doc:"Locality communicator granularity (dist runtime): how long \
-                   the communicator thread sleeps in select when nothing is \
-                   happening. Smaller means snappier steal routing and bound \
-                   propagation at the price of more wakeups.")
+             ~doc:"Locality communicator fallback period (dist runtime): the \
+                   longest its thread sleeps in select with nothing \
+                   arriving. Worker events (hunger, spills, quiescence, new \
+                   incumbents) wake it at once; this paces only heartbeats \
+                   and steal retries.")
   in
   let steal_retry =
     Arg.(value

@@ -102,8 +102,9 @@ val run :
     (see {!Chaos.parse} for the [--chaos] grammar).
 
     [timing] (default {!Yewpar_runtime.Config.default}) sets the
-    localities' communicator tick and steal-retry timeout — the
-    [--comm-tick]/[--steal-retry] CLI knobs.
+    localities' communicator fallback tick (heartbeats, steal retries:
+    worker events wake the communicator at once) and steal-retry
+    timeout — the [--comm-tick]/[--steal-retry] CLI knobs.
 
     [monitor_port] serves live observability for the duration of the
     run: heartbeats fold into a gauge registry answering

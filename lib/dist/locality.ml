@@ -27,13 +27,23 @@ type ledger = {
 }
 
 let run (type s n r) ?(record = false) ?heartbeat ?chaos
-    ?(config = Config.default) ~conn ~workers ~coordination
+    ?(config = Config.default) ?crew ~conn ~workers ~coordination
     (p : (s, n, r) Problem.t) : unit =
   let codec =
     match p.Problem.codec with
     | Some c -> c
     | None -> invalid_arg "Locality.run: problem has no task codec"
   in
+  (* The communicator sleeps in [select] on the coordinator socket and
+     this descriptor together. Worker domains signal it on every event
+     the communicator acts on — a worker about to block (hunger), a
+     queued wire message (spills), quiescence (lease retirement), an
+     accepted incumbent (bound updates, witnesses), a stopping worker
+     (failures) — so none of them waits out [comm_tick], which only
+     paces the timed duties: heartbeats and steal retries. *)
+  let wake = Transport.Wakeup.create () in
+  Fun.protect ~finally:(fun () -> Transport.Wakeup.close wake) @@ fun () ->
+  let signal () = Transport.Wakeup.signal wake in
   (* One counter bundle shared with the worker core; one slot per
      worker domain plus one for the communicator thread (slot
      [workers]: its event ring records wire steals, spills and floor
@@ -73,7 +83,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
   let tiers =
     Two_tier.create
       ~policy:(Task_pool.policy_for coordination)
-      ~slots:workers ()
+      ~on_block:signal ~slots:workers ()
   in
   (* Tasks queued or executing here (deque- and pool-resident alike);
      0 means the locality is drained (workers may only block, never
@@ -92,7 +102,8 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
   let outbox_add m =
     Mutex.lock out_mutex;
     Queue.add m outbox;
-    Mutex.unlock out_mutex
+    Mutex.unlock out_mutex;
+    signal ()
   in
   let outbox_take_all () =
     Mutex.lock out_mutex;
@@ -118,7 +129,10 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
     let rec submit n v =
       let ((cur, _) as old) = Atomic.get best_cell in
       if v <= cur then false
-      else if Atomic.compare_and_set best_cell old (v, Some n) then true
+      else if Atomic.compare_and_set best_cell old (v, Some n) then begin
+        signal ();
+        true
+      end
       else submit n v
     in
     {
@@ -394,7 +408,13 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
         (fun ~slot ->
           Two_tier.take tiers ~slot ~recorder:recorders.(slot) ~stop ?on_idle
             ());
-      finish = (fun () -> Atomic.decr local_outstanding);
+      finish =
+        (fun () ->
+          (* Quiescence is a retirement to report; a task finishing
+             under [stop] may be the one whose failure the
+             communicator must forward. *)
+          if Atomic.fetch_and_add local_outstanding (-1) = 1 || Atomic.get stop
+          then signal ());
       should_shed =
         (fun () -> Two_tier.hungry tiers || Atomic.get global_hungry);
       begin_task = (fun ~slot t -> ledger.begin_task slot t.Task_pool.tag);
@@ -418,7 +438,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
     Worker.make_ctx ~space:p.Problem.space ~children:p.Problem.children
       ~coordination ~counters ~recorders ~views ~scheduler ~tiers ~stop ()
   in
-  let handle = Worker.start ctx ~workers in
+  let handle = Worker.start ?crew ctx ~workers in
 
   (* ------------- communicator (this thread) ------------- *)
   let steal_inflight = ref false in
@@ -549,7 +569,9 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
       end
   in
   let communicator_tick () =
-    (match Transport.poll ~timeout:config.Config.comm_tick [ conn ] with
+    (match
+       Transport.poll ~wake ~timeout:config.Config.comm_tick [ conn ]
+     with
     | [] -> ()
     | _ -> List.iter handle_inbound (Transport.pump conn));
     List.iter send_out (outbox_take_all ());

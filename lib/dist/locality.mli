@@ -3,7 +3,12 @@
     Runs [workers] domains over a locality-local depth-ordered pool
     and a locality-local incumbent, mirroring the shared-memory
     runtime ({!Yewpar_par.Shm}); the process's main thread acts as the
-    communicator, speaking {!Wire} to the coordinator on a short tick:
+    communicator, speaking {!Wire} to the coordinator. It sleeps on the
+    coordinator socket and a {!Transport.Wakeup} that the worker
+    domains signal on every event below (a worker about to block, a
+    queued spill, quiescence, a new incumbent, a failing worker), so it
+    acts on each as it happens; the [comm_tick] timeout only paces
+    heartbeats and steal retries. Each pass it:
 
     - drains inbound tasks / bound updates / steal requests / pings /
       shutdown;
@@ -35,6 +40,7 @@ val run :
   ?heartbeat:float ->
   ?chaos:Chaos.plan ->
   ?config:Yewpar_runtime.Config.t ->
+  ?crew:Yewpar_runtime.Worker.crew ->
   conn:Transport.t ->
   workers:int ->
   coordination:Yewpar_core.Coordination.t ->
@@ -58,10 +64,11 @@ val run :
     its slice of a fault-injection plan: self-SIGKILL after a number
     of completed tasks, probabilistic inbound frame drops, outbound
     link delay (see {!Chaos}). [config] (default
-    {!Yewpar_runtime.Config.default}) sets the communicator tick and
-    the steal-retry timeout. The shipped [Stats] carry per-depth
-    profiles and the rings' drop count. The problem must carry a task
-    codec.
+    {!Yewpar_runtime.Config.default}) sets the communicator's fallback
+    tick and the steal-retry timeout. With [crew] the workers run on
+    its idle domains ({!Yewpar_runtime.Worker.start}) instead of fresh
+    ones. The shipped [Stats] carry per-depth profiles and the rings'
+    drop count. The problem must carry a task codec.
     @raise Transport.Closed if the coordinator disappears mid-run. *)
 
 val serve :

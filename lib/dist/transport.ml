@@ -61,20 +61,93 @@ let send ?timeout t m =
   let b = Wire.to_bytes m in
   write_all ?deadline t.fd b 0 (Bytes.length b)
 
-let poll ~timeout conns =
-  let eofs, live = List.partition (fun t -> t.eof) conns in
+module Wakeup = struct
+  (* A self-pipe whose [pending] flag coalesces signals: only the
+     signaller that flips it false -> true writes, so the pipe holds at
+     most a byte or two however many domains signal between two
+     drains. *)
+  type t = {
+    r : Unix.file_descr;
+    w : Unix.file_descr;
+    pending : bool Atomic.t;
+    buf : bytes;
+    mutable closed : bool;
+  }
+
+  let create () =
+    let r, w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock r;
+    Unix.set_nonblock w;
+    { r; w; pending = Atomic.make false; buf = Bytes.create 64; closed = false }
+
+  let fd t = t.r
+  let byte = Bytes.make 1 '!'
+
+  let signal t =
+    if (not (Atomic.get t.pending)) && not (Atomic.exchange t.pending true)
+    then
+      let rec write () =
+        match Unix.single_write t.w byte 0 1 with
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> write ()
+        (* A full pipe is already readable; a closed one has no
+           consumer left. *)
+        | exception Unix.Unix_error _ -> ()
+      in
+      write ()
+
+  (* Empty the pipe, and only then clear [pending]. Clearing first
+     would let a signal racing this drain flip the flag and have its
+     byte swallowed by the read below: [pending] stays true over an
+     empty pipe, and no later signal ever writes again. In this order
+     a racing signal either finds the flag still set (and the caller's
+     state checks, which follow the drain, see its event) or writes a
+     fresh byte after the clear. *)
+  let drain t =
+    let rec go () =
+      match Unix.read t.r t.buf 0 (Bytes.length t.buf) with
+      | n when n = Bytes.length t.buf -> go ()
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        ()
+    in
+    go ();
+    Atomic.set t.pending false
+
+  let close t =
+    if not t.closed then begin
+      t.closed <- true;
+      (try Unix.close t.r with Unix.Unix_error _ -> ());
+      try Unix.close t.w with Unix.Unix_error _ -> ()
+    end
+end
+
+let poll ?wake ~timeout conns =
+  (* A frame already buffered (a [recv] reads every byte on offer, and
+     returns only the first message) must not wait for more bytes. *)
+  let ready, live =
+    List.partition (fun t -> t.eof || Wire.complete t.dec) conns
+  in
+  let timeout = if ready = [] then timeout else 0. in
   let fds = List.map (fun t -> t.fd) live in
+  let fds = match wake with Some w -> Wakeup.fd w :: fds | None -> fds in
   let readable =
     if fds = [] then begin
-      if eofs = [] && timeout > 0. then ignore (Unix.select [] [] [] timeout);
+      if timeout > 0. then ignore (Unix.select [] [] [] timeout);
       []
     end
     else
       match Unix.select fds [] [] timeout with
-      | rs, _, _ -> List.filter (fun t -> List.memq t.fd rs) live
+      | rs, _, _ ->
+        (match wake with
+        | Some w when List.memq (Wakeup.fd w) rs -> Wakeup.drain w
+        | _ -> ());
+        List.filter (fun t -> List.memq t.fd rs) live
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   in
-  eofs @ readable
+  ready @ readable
 
 (* One read(2); false at end of stream. *)
 let read_once t =

@@ -38,10 +38,46 @@ val send : ?timeout:float -> t -> Wire.msg -> unit
     connection as poisoned).
     @raise Closed if the peer is gone. *)
 
-val poll : timeout:float -> t list -> t list
-(** Wait up to [timeout] seconds for inbound data; returns the
-    connections worth {!pump}ing (possibly none). A connection at EOF
-    is always returned (its pump will raise {!Closed}). *)
+(** A wake-up descriptor: lets other domains of this process cut short
+    an event loop's {!poll}.
+
+    A non-blocking pipe guarded by an atomic pending flag. {!signal}
+    writes a byte only when it flips the flag, so any number of
+    signals between two drains cost at most one [write(2)]. The
+    consumer drains the pipe {e before} clearing the flag, then
+    inspects the state the signals announce: every signal either
+    leaves the pipe readable for the consumer's next wait, or lands
+    before that clear, so the inspection after the drain sees its
+    event. No wake-up is lost. *)
+module Wakeup : sig
+  type t
+
+  val create : unit -> t
+  (** A fresh pipe with nothing pending (close with {!close}). *)
+
+  val signal : t -> unit
+  (** Announce an event; callable from any domain, never blocks. A
+      no-op while a previous signal is still pending. *)
+
+  val fd : t -> Unix.file_descr
+  (** The read end: readable while a signal is undrained. *)
+
+  val drain : t -> unit
+  (** Consume every pending byte, then clear the flag. Call it
+      before inspecting the state the signals announce. *)
+
+  val close : t -> unit
+  (** Close both ends; idempotent. No domain may signal afterwards. *)
+end
+
+val poll : ?wake:Wakeup.t -> timeout:float -> t list -> t list
+(** Wait up to [timeout] seconds for inbound data, or until [wake] is
+    signalled; returns the connections worth {!pump}ing (possibly
+    none). A connection at EOF is always returned (its pump will raise
+    {!Closed}), as is one holding a whole buffered frame (left behind
+    by a {!recv}), without waiting. A signal that ends the wait is drained
+    ({!Wakeup.drain}) before [poll] returns, so the caller inspects
+    its state afterwards. *)
 
 val pump : t -> Wire.msg list
 (** Perform at most one [read] (never blocking beyond it: call after

@@ -54,6 +54,10 @@ let decoder () = { buf = Bytes.create 256; len = 0 }
 
 let pending d = d.len
 
+let complete d =
+  d.len >= header_size
+  && d.len >= header_size + Int32.to_int (Bytes.get_int32_be d.buf 0)
+
 let feed d src off len =
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Wire.feed";

@@ -161,3 +161,6 @@ val next : decoder -> msg option
 
 val pending : decoder -> int
 (** Bytes buffered but not yet consumed by {!next}. *)
+
+val complete : decoder -> bool
+(** A whole frame is buffered: {!next} will not return [None]. *)

@@ -7,10 +7,12 @@
 
 type t = {
   comm_tick : float;
-      (** Communicator granularity: how long the locality's main
-          thread sleeps in [select] when nothing is happening,
-          seconds. Smaller means snappier steal routing and bound
-          propagation at the price of more wakeups. *)
+      (** The locality communicator's fallback period, seconds: the
+          longest it sleeps in [select] with nothing arriving. Worker
+          events (hunger, spills, quiescence, incumbents, failures)
+          wake it at once, so this only paces the timed duties —
+          heartbeats and steal retries — and bounds the cost of a
+          missed wake-up. *)
   steal_retry : float;
       (** A steal reply lost in transit (fault injection, coordinator
           hiccup) must not starve the thief forever: re-request after

@@ -24,14 +24,16 @@ type 'n t = {
   nonempty : Condition.t;
   tasks : 'n entry Workpool.t;
   size : int Atomic.t;
+  on_block : (unit -> unit) option;
 }
 
-let create ~policy () =
+let create ~policy ?on_block () =
   {
     mutex = Mutex.create ();
     nonempty = Condition.create ();
     tasks = Workpool.create ~policy ();
     size = Atomic.make 0;
+    on_block;
   }
 
 let policy_for = function
@@ -112,6 +114,9 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
             let wall_from =
               match on_idle with Some _ -> Recorder.clock () | None -> 0.
             in
+            (* [waiting] is raised and both tiers are dry: whoever
+               watches [hungry] from outside hears about it now. *)
+            Option.iter (fun f -> f ()) t.on_block;
             Condition.wait t.nonempty t.mutex;
             Atomic.decr waiting;
             Recorder.span recorder Recorder.Idle ~start:idle_from ~arg:0;

@@ -34,7 +34,13 @@ val record_steal : Yewpar_telemetry.Recorder.t -> episode -> 'n task -> unit
 
 type 'n t
 
-val create : policy:Yewpar_core.Workpool.policy -> unit -> 'n t
+val create :
+  policy:Yewpar_core.Workpool.policy -> ?on_block:(unit -> unit) -> unit ->
+  'n t
+(** [on_block] (default none) runs in {!take} each time a worker is
+    about to sleep, after it has raised [waiting] and found both tiers
+    dry, under the pool lock: it must be quick and must not touch the
+    pool. *)
 
 val policy_for : Yewpar_core.Coordination.t -> Yewpar_core.Workpool.policy
 (** The pool policy a coordination wants: [Priority] for best-first,

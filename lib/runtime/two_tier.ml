@@ -17,11 +17,11 @@ type 'n t = {
          by slot [i]'s domain *)
 }
 
-let create ~policy ?(deque_capacity = 256) ~slots () =
+let create ~policy ?(deque_capacity = 256) ?on_block ~slots () =
   {
     deques =
       Array.init slots (fun _ -> Deque.create ~capacity:deque_capacity ());
-    pool = Task_pool.create ~policy ();
+    pool = Task_pool.create ~policy ?on_block ();
     queued = Atomic.make 0;
     waiting = Atomic.make 0;
     fast = policy <> Workpool.Priority;

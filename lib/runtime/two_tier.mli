@@ -21,11 +21,17 @@
 type 'n t
 
 val create :
-  policy:Yewpar_core.Workpool.policy -> ?deque_capacity:int -> slots:int ->
-  unit -> 'n t
+  policy:Yewpar_core.Workpool.policy -> ?deque_capacity:int ->
+  ?on_block:(unit -> unit) -> slots:int -> unit -> 'n t
 (** [slots] worker deques (capacity [deque_capacity], default 256)
     over one overflow pool with [policy]. A [Priority] policy disables
-    the fast tier: every task goes to the ordered pool. *)
+    the fast tier: every task goes to the ordered pool.
+
+    [on_block] (default none) is called each time a worker of {!take}
+    is about to sleep, with {!hungry} already reflecting it — how a
+    distributed locality's communicator learns of a starving worker
+    without polling. It runs under the overflow pool's lock
+    ({!Task_pool.create}). *)
 
 val enqueue :
   'n t ->

@@ -244,16 +244,109 @@ let worker_loop ctx slot () =
   in
   loop ()
 
-type handle = { domains : unit Domain.t array; failure : exn option Atomic.t }
+(* A crew member is a domain that outlives the runs it serves: it
+   sleeps on [cond] until handed a loop, runs it, reports the outcome
+   and sleeps again, so a long-lived process pays the domain's spawn,
+   minor-heap set-up and join once instead of once per run. *)
+type member = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  mutable work : (unit -> unit) option;
+  mutable outcome : (unit, exn) result option;
+      (* [Some] once the loop handed over last has returned *)
+  mutable dismissed : bool;
+}
 
-let start ctx ~workers =
-  {
-    domains = Array.init workers (fun i -> Domain.spawn (worker_loop ctx i));
-    failure = ctx.failure;
-  }
+type crew = { members : member array; domains : unit Domain.t array }
+
+let member_loop m () =
+  Mutex.lock m.lock;
+  let rec idle () =
+    match m.work with
+    | Some f ->
+      m.work <- None;
+      Mutex.unlock m.lock;
+      let r = try Ok (f ()) with e -> Error e in
+      Mutex.lock m.lock;
+      m.outcome <- Some r;
+      Condition.broadcast m.cond;
+      idle ()
+    | None when m.dismissed -> Mutex.unlock m.lock
+    | None ->
+      Condition.wait m.cond m.lock;
+      idle ()
+  in
+  idle ()
+
+let crew n =
+  let members =
+    Array.init n (fun _ ->
+        {
+          lock = Mutex.create ();
+          cond = Condition.create ();
+          work = None;
+          outcome = None;
+          dismissed = false;
+        })
+  in
+  let domains = Array.map (fun m -> Domain.spawn (member_loop m)) members in
+  { members; domains }
+
+let dismiss c =
+  Array.iter
+    (fun m ->
+      Mutex.protect m.lock (fun () ->
+          m.dismissed <- true;
+          Condition.broadcast m.cond))
+    c.members;
+  Array.iter Domain.join c.domains
+
+let hand m f =
+  Mutex.protect m.lock (fun () ->
+      m.outcome <- None;
+      m.work <- Some f;
+      Condition.broadcast m.cond)
+
+let await m =
+  Mutex.protect m.lock (fun () ->
+      let rec wait () =
+        match m.outcome with
+        | Some r -> r
+        | None ->
+          Condition.wait m.cond m.lock;
+          wait ()
+      in
+      wait ())
+
+(* Each slot's loop runs on a crew member or a fresh domain; joining
+   either re-raises what escaped the loop, as [Domain.join] does. *)
+type handle = { joins : (unit -> unit) array; failure : exn option Atomic.t }
+
+let start ?crew ctx ~workers =
+  let run i =
+    match crew with
+    | Some c when i < Array.length c.members ->
+      let m = c.members.(i) in
+      hand m (worker_loop ctx i);
+      fun () -> ( match await m with Ok () -> () | Error e -> raise e)
+    | _ ->
+      let d = Domain.spawn (worker_loop ctx i) in
+      fun () -> Domain.join d
+  in
+  { joins = Array.init workers run; failure = ctx.failure }
 
 let failure h = Atomic.get h.failure
 
+(* Every slot is joined before anything escaping one is re-raised: a
+   crew member must be idle again before its next run is handed over. *)
 let join h =
-  Array.iter Domain.join h.domains;
+  let escaped =
+    Array.fold_left
+      (fun first j ->
+        match j () with
+        | () -> first
+        | exception e -> if first = None then Some e else first)
+      None h.joins
+  in
+  Option.iter raise escaped;
   Atomic.get h.failure

@@ -98,18 +98,35 @@ val exec_task : ('s, 'n) ctx -> slot:int -> 'n Task_pool.task -> unit
     and the task's [Task] record, made under the task's tag as its
     span ({!Yewpar_telemetry.Recorder.enter}). *)
 
-type handle
-(** Spawned worker domains plus the shared failure cell. *)
+type crew
+(** Idle domains that run worker loops for one run after another. A
+    process that serves many runs (a job server's fleet member) keeps
+    one, so each run skips the domains' spawn and join. A process with
+    a crew cannot fork. *)
 
-val start : ('s, 'n) ctx -> workers:int -> handle
-(** Spawn [workers] domains running the worker loop on slots
-    [0 .. workers-1]. *)
+val crew : int -> crew
+(** Spawn [n] idle crew domains. *)
+
+val dismiss : crew -> unit
+(** Let every crew domain finish and join it. The crew must be idle:
+    no run started on it may still be unjoined. *)
+
+type handle
+(** The run's worker domains plus the shared failure cell. *)
+
+val start : ?crew:crew -> ('s, 'n) ctx -> workers:int -> handle
+(** Run the worker loop on slots [0 .. workers-1], each on a domain of
+    [crew] (default none) while it has one for the slot, otherwise on
+    a freshly spawned domain. A crew serves one run at a time: {!join}
+    the handle before starting another run on it. *)
 
 val failure : handle -> exn option
 (** Peek at the failure cell mid-run (the dist communicator polls it
     to report a [Failed] frame while workers are still draining). *)
 
 val join : handle -> exn option
-(** Join every domain and return the first recorded worker exception,
-    if any; the caller chooses to re-raise (shm) or to report and
-    carry on with result shipping (dist). *)
+(** Join every slot's loop (a crew member goes back to idle) and
+    return the first recorded worker exception, if any; the caller
+    chooses to re-raise (shm) or to report and carry on with result
+    shipping (dist). An exception that escaped a loop itself is
+    re-raised once every slot has been joined. *)

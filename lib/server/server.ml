@@ -18,6 +18,7 @@ type servable = {
   sv_run :
     heartbeat:float ->
     record:bool ->
+    crew:Yewpar_runtime.Worker.crew ->
     conn:Transport.t ->
     workers:int ->
     coordination:Coordination.t ->
@@ -36,8 +37,9 @@ let servable (type s n r) (p : (s, n, r) Problem.t) ~(show : r -> string) =
     Ok
       {
         sv_run =
-          (fun ~heartbeat ~record ~conn ~workers ~coordination ->
-            Locality.run ~heartbeat ~record ~conn ~workers ~coordination p);
+          (fun ~heartbeat ~record ~crew ~conn ~workers ~coordination ->
+            Locality.run ~heartbeat ~record ~crew ~conn ~workers
+              ~coordination p);
         sv_root = codec.Codec.encode p.Problem.root;
         sv_finish =
           (fun outcome -> show (Yewpar_dist.Dist.combine p codec outcome));
@@ -91,7 +93,9 @@ type t = {
   registry : (string * servable) list;
   fleet : slot array;
   jobs : (int, Job.t) Hashtbl.t;
-  queue : int Queue.t;
+  terminal_ids : int Queue.t;
+      (* terminal jobs still in [jobs], in the order they ended *)
+  queue : int Queue.t;  (* exactly the [Queued] jobs, in FIFO order *)
   mutex : Mutex.t;
   cond : Condition.t;
   metrics : Metrics.t;
@@ -108,12 +112,25 @@ type t = {
   mutable next_id : int;
   mutable running : int;
   mutable stopping : bool;
-  mutable job_threads : Thread.t list;
+  job_threads : (int, Thread.t) Hashtbl.t;
+      (* running jobs only: a job's thread drops its handle as it ends *)
   mutable scheduler_thread : Thread.t option;
   mutable http : Http.t option;
 }
 
 let spec (j : Job.t) = j.Job.spec
+
+let retained_jobs = 256
+
+(* Every path that ends a job comes through here, under the mutex:
+   stamp it, and forget the oldest terminal jobs beyond
+   [retained_jobs] so a long-lived daemon's memory stays flat. *)
+let finalise t (j : Job.t) =
+  j.Job.finished <- Some (now ());
+  Queue.push j.Job.id t.terminal_ids;
+  while Queue.length t.terminal_ids > retained_jobs do
+    Hashtbl.remove t.jobs (Queue.pop t.terminal_ids)
+  done
 
 (* Daemon-side operational logging, always stamped with the job id so
    a multi-tenant log remains attributable; off by default so embedded
@@ -148,13 +165,7 @@ let free_slots t =
     t.fleet;
   List.rev !acc
 
-let queued_count t =
-  Queue.fold
-    (fun n id ->
-      match (Hashtbl.find t.jobs id).Job.state with
-      | Job.Queued -> n + 1
-      | _ -> n)
-    0 t.queue
+let queued_count t = Queue.length t.queue
 
 (* All metrics mutation happens under the mutex (the registry is not
    thread-safe); the gauges are refreshed on scrape. *)
@@ -198,6 +209,9 @@ let fork_fleet config registry =
                  it. *)
               Sys.set_signal Sys.sigint Sys.Signal_ignore;
               let conn = Transport.create (snd pairs.(i)) in
+              (* The member's worker domains, spawned at its first job
+                 and kept for every later one. *)
+              let crew = lazy (Yewpar_runtime.Worker.crew config.workers) in
               let resolve ~instance ~skeleton ~job =
                 match List.assoc_opt instance registry with
                 | None ->
@@ -216,9 +230,12 @@ let fork_fleet config registry =
                             i instance skeleton;
                         sv.sv_run ~heartbeat:config.heartbeat
                           ~record:(config.journal <> None)
-                          ~conn ~workers:config.workers ~coordination))
+                          ~crew:(Lazy.force crew) ~conn
+                          ~workers:config.workers ~coordination))
               in
               Locality.serve ~conn ~resolve;
+              if Lazy.is_val crew then
+                Yewpar_runtime.Worker.dismiss (Lazy.force crew);
               Transport.close conn;
               0
             with _ -> 1
@@ -345,7 +362,8 @@ let run_job t (job : Job.t) slots =
               }
           | None -> None)
       | exception e -> job.Job.state <- Job.Failed (Printexc.to_string e))));
-  job.Job.finished <- Some (now ());
+  finalise t job;
+  Hashtbl.remove t.job_threads job.Job.id;
   Metrics.observe t.m_latency (now () -. job.Job.submitted);
   log t "job %d %s (%.3fs since submit)" job.Job.id
     (Job.state_name job.Job.state)
@@ -390,19 +408,14 @@ let schedule t =
     | None -> ()
     | Some id ->
       let job = Hashtbl.find t.jobs id in
-      if Job.terminal job then begin
-        (* Cancelled while queued: nothing was ever allocated. *)
-        ignore (Queue.pop t.queue);
-        continue_ := true
-      end
-      else if (spec job).Job.localities > usable_slots t then begin
+      if (spec job).Job.localities > usable_slots t then begin
         ignore (Queue.pop t.queue);
         job.Job.state <-
           Job.Failed
             (Printf.sprintf
                "job wants %d localities but only %d fleet slots survive"
                (spec job).Job.localities (usable_slots t));
-        job.Job.finished <- Some (now ());
+        finalise t job;
         Metrics.inc t.m_failed;
         continue_ := true
       end
@@ -426,7 +439,7 @@ let schedule t =
             Journal.Job_scheduled;
           t.running <- t.running + 1;
           let th = Thread.create (fun () -> run_job t job slots) () in
-          t.job_threads <- th :: t.job_threads;
+          Hashtbl.replace t.job_threads id th;
           continue_ := true
         end
       end
@@ -511,8 +524,12 @@ let submit t body =
 let cancel t (j : Job.t) =
   match j.Job.state with
   | Job.Queued ->
+    let rest = Queue.create () in
+    Queue.iter (fun id -> if id <> j.Job.id then Queue.push id rest) t.queue;
+    Queue.clear t.queue;
+    Queue.transfer rest t.queue;
     j.Job.state <- Job.Cancelled "cancelled before start";
-    j.Job.finished <- Some (now ());
+    finalise t j;
     Metrics.inc t.m_cancelled;
     Condition.broadcast t.cond;
     json_response 200 (Job.to_json j)
@@ -634,6 +651,7 @@ let start ?(config = default_config) ~registry () =
       fleet;
       journal;
       jobs = Hashtbl.create 64;
+      terminal_ids = Queue.create ();
       queue = Queue.create ();
       mutex = Mutex.create ();
       cond = Condition.create ();
@@ -670,7 +688,7 @@ let start ?(config = default_config) ~registry () =
       next_id = 1;
       running = 0;
       stopping = false;
-      job_threads = [];
+      job_threads = Hashtbl.create 8;
       scheduler_thread = None;
       http = None;
     }
@@ -705,23 +723,25 @@ let stop t =
     (* Graceful: queued jobs die instantly, running jobs are cancelled
        through their coordinators (which broadcast Shutdown and still
        collect stats), then the fleet is quit and reaped. *)
+    Queue.iter
+      (fun id ->
+        let j = Hashtbl.find t.jobs id in
+        j.Job.state <- Job.Cancelled "server shutting down";
+        finalise t j;
+        Metrics.inc t.m_cancelled)
+      t.queue;
+    Queue.clear t.queue;
     Hashtbl.iter
       (fun _ (j : Job.t) ->
-        match j.Job.state with
-        | Job.Queued ->
-          j.Job.state <- Job.Cancelled "server shutting down";
-          j.Job.finished <- Some (now ());
-          Metrics.inc t.m_cancelled
-        | Job.Running ->
-          Atomic.set j.Job.cancel (Some "server shutting down")
-        | _ -> ())
+        if j.Job.state = Job.Running then
+          Atomic.set j.Job.cancel (Some "server shutting down"))
       t.jobs;
     Condition.broadcast t.cond;
     Mutex.unlock t.mutex;
     (match t.scheduler_thread with Some th -> Thread.join th | None -> ());
     Mutex.lock t.mutex;
-    let threads = t.job_threads in
-    t.job_threads <- [];
+    let threads = Hashtbl.fold (fun _ th acc -> th :: acc) t.job_threads [] in
+    Hashtbl.reset t.job_threads;
     Mutex.unlock t.mutex;
     List.iter Thread.join threads;
     Array.iter

@@ -35,7 +35,15 @@
     terminal); [DELETE /jobs/:id] → cancel (200 queued / 202 running /
     409 terminal); [GET /problems] → the registry;
     [GET /metrics] (Prometheus) and [GET /status] (JSON) → daemon
-    gauges, counters and a job-latency histogram. *)
+    gauges, counters and a job-latency histogram.
+
+    The daemon keeps the {!retained_jobs} most recent terminal jobs;
+    an older one is forgotten (every endpoint answers 404 for its id),
+    so memory stays flat however many jobs it serves. *)
+
+val retained_jobs : int
+(** How many terminal jobs stay queryable (256); older ones are
+    evicted in the order they ended. *)
 
 type servable
 (** A problem the fleet can run: its locality entry point, encoded

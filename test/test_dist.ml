@@ -187,6 +187,29 @@ let transport_roundtrip () =
   | _ -> Alcotest.fail "expected Closed after peer close");
   Transport.close cb
 
+(* A fleet member reads [Job_start] with [recv]; a [Shutdown] that
+   arrived in the same read is left in the decoder, and the job's
+   event loop must still see it: [poll] reports the buffered frame at
+   once, although the socket itself has nothing more to read. *)
+let transport_buffered_frame_ready () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ca = Transport.create a in
+  let cb = Transport.create b in
+  Transport.send ca Wire.Ping;
+  Transport.send ca Wire.Shutdown;
+  (* Both frames are in flight before the first read. *)
+  ignore (Unix.select [ b ] [] [] 10.);
+  Alcotest.check msg_t "first" Wire.Ping (Transport.recv ~timeout:10. cb);
+  let t0 = Unix.gettimeofday () in
+  let ready = Transport.poll ~timeout:30. [ cb ] in
+  Alcotest.(check bool) "no wait" true (Unix.gettimeofday () -. t0 < 10.);
+  Alcotest.(check int) "buffered frame reported" 1 (List.length ready);
+  Alcotest.(check (list msg_t)) "pumped" [ Wire.Shutdown ] (Transport.pump cb);
+  Alcotest.(check int) "then nothing" 0
+    (List.length (Transport.poll ~timeout:0. [ cb ]));
+  Transport.close ca;
+  Transport.close cb
+
 let transport_recv_timeout () =
   (* A silent peer must surface as Timeout near the deadline — not hang
      and not spin. *)
@@ -245,6 +268,99 @@ let transport_send_timeout () =
     (elapsed >= 0.25 && elapsed < 5.);
   Transport.close ca;
   Unix.close b
+
+(* ------------------------ wake-up descriptor ---------------------- *)
+
+module Wakeup = Transport.Wakeup
+
+let wake_readable ?(timeout = 0.) w =
+  match Unix.select [ Wakeup.fd w ] [] [] timeout with
+  | [], _, _ -> false
+  | _ -> true
+
+(* OCaml refuses to fork once a domain has been spawned, and later
+   cases fork localities: a domain stress runs in a child process. *)
+let in_child name f =
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try f (); 0
+      with e ->
+        prerr_endline (name ^ ": " ^ Printexc.to_string e);
+        1
+    in
+    Unix._exit code
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "%s failed (see its stderr)" name)
+
+(* Producers bump a counter, then signal; the consumer waits, drains
+   through [Transport.poll], and reads the counter. While it has not
+   seen every bump, a signal is owed to it, so its wait must end long
+   before the timeout: a lost wake-up (e.g. the pending flag cleared
+   before the pipe is drained, leaving it set over an empty pipe)
+   fails here. Each consumer pass releases the producers just before
+   its drain, so their signals land in the middle of it, and again
+   after reading the counter, so every pass is owed a fresh signal. *)
+let wakeup_no_lost_signals () =
+  in_child "wake-up stress" @@ fun () ->
+  let w = Wakeup.create () in
+  let producers = 2 and per = 100_000 in
+  let total = producers * per in
+  let state = Atomic.make 0 in
+  let round = Atomic.make 0 in
+  let ds =
+    List.init producers (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to per do
+              let r = Atomic.get round in
+              Atomic.incr state;
+              Wakeup.signal w;
+              while Atomic.get round = r do
+                Domain.cpu_relax ()
+              done
+            done))
+  in
+  let seen = ref 0 in
+  while !seen < total do
+    if not (wake_readable ~timeout:5. w) then
+      Alcotest.failf "lost wake-up: %d of %d events observed" !seen total;
+    Atomic.incr round;
+    ignore (Transport.poll ~wake:w ~timeout:0. []);
+    seen := Atomic.get state;
+    Atomic.incr round
+  done;
+  List.iter Domain.join ds;
+  Wakeup.drain w;
+  Alcotest.(check bool) "drained and quiet: not readable" false
+    (wake_readable w);
+  Wakeup.close w
+
+let wakeup_coalesces () =
+  let w = Wakeup.create () in
+  Alcotest.(check bool) "fresh: not readable" false (wake_readable w);
+  for _ = 1 to 100 do
+    Wakeup.signal w
+  done;
+  Alcotest.(check bool) "signalled: readable" true (wake_readable w);
+  let buf = Bytes.create 16 in
+  Alcotest.(check int) "100 signals, one byte" 1
+    (Unix.read (Wakeup.fd w) buf 0 16);
+  Wakeup.drain w;
+  Alcotest.(check bool) "drained: not readable" false (wake_readable w);
+  Wakeup.signal w;
+  Alcotest.(check bool) "flag cleared by the drain: next signal writes" true
+    (wake_readable w);
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check int) "poll wakes with no connection readable" 0
+    (List.length (Transport.poll ~wake:w ~timeout:30. []));
+  Alcotest.(check bool) "poll returned at once" true
+    (Unix.gettimeofday () -. t0 < 10.);
+  Alcotest.(check bool) "poll drained the signal" false (wake_readable w);
+  Wakeup.close w;
+  Wakeup.close w
 
 (* ----------------------------- chaos ----------------------------- *)
 
@@ -445,7 +561,8 @@ type tree = T of int * tree list
 
 exception Generator_failure
 
-let generator_exceptions_propagate () =
+let generator_exceptions_propagate
+    ?(run = fun ~coordination p -> dist ~coordination p) () =
   (* A generator raising inside a locality must abort the whole search
      with a Failure, not deadlock the cluster. *)
   let visits = Atomic.make 0 in
@@ -457,7 +574,7 @@ let generator_exceptions_propagate () =
         else Seq.init 3 (fun i -> T (i, [])))
       ()
   in
-  match dist ~coordination:(Coordination.Budget { budget = 5 }) exploding with
+  match run ~coordination:(Coordination.Budget { budget = 5 }) exploding with
   | exception Failure msg ->
     Alcotest.(check bool) "failure names the exception" true
       (let re = Str.regexp_string "Generator_failure" in
@@ -467,6 +584,42 @@ let generator_exceptions_propagate () =
   | exception e ->
     Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)
   | _ -> Alcotest.fail "expected the locality failure to surface"
+
+(* Worker events wake a locality's communicator at once. With a 30 s
+   comm tick and a 10 s watchdog, an event left to wait for the tick
+   fails the run, unless another event happens to wake the
+   communicator first (liveness pings, which would, are off). Steal-
+   heavy Budget exercises hunger;
+   Stack-Stealing, whose workers stay inside long tasks, spills from a
+   busy worker to a starving locality; the raising generator on a lone
+   locality, where nothing else follows the failure, the failure
+   report (a late one would lose to the watchdog's). *)
+let no_event_waits_on_tick () =
+  let run ?stats ?(localities = 2) ~coordination p =
+    Dist.run ?stats ~watchdog:10. ~failure_timeout:0.
+      ~timing:(Yewpar_runtime.Config.create ~comm_tick:30. ())
+      ~localities ~workers:1 ~coordination p
+  in
+  List.iter
+    (fun (name, n, coordination, min_steals) ->
+      let p = queens_n n in
+      let expected, seq_stats = Sequential.search_with_stats p in
+      let stats = Stats.create () in
+      Alcotest.(check int) (name ^ ": solutions") expected
+        (run ~stats ~coordination p);
+      Alcotest.(check int) (name ^ ": nodes = sequential")
+        seq_stats.Stats.nodes stats.Stats.nodes;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d wire steals" name stats.Stats.steals)
+        true
+        (stats.Stats.steals >= min_steals))
+    [
+      ("budget", 10, Coordination.Budget { budget = 30 }, 100);
+      ("stack-stealing", 12, Coordination.Stack_stealing { chunked = false }, 2);
+    ];
+  generator_exceptions_propagate
+    ~run:(fun ~coordination p -> run ~localities:1 ~coordination p)
+    ()
 
 let children_reaped () =
   ignore
@@ -810,6 +963,12 @@ let () =
           Alcotest.test_case "mid-frame close" `Quick transport_midframe_close;
           Alcotest.test_case "truncated prefix" `Quick transport_truncated_prefix;
           Alcotest.test_case "send timeout" `Quick transport_send_timeout;
+          Alcotest.test_case "buffered frame is ready" `Quick
+            transport_buffered_frame_ready;
+          Alcotest.test_case "wake-up coalesces and drains" `Quick
+            wakeup_coalesces;
+          Alcotest.test_case "wake-up: no lost signals" `Quick
+            wakeup_no_lost_signals;
         ] );
       ( "chaos",
         [
@@ -830,7 +989,10 @@ let () =
           Alcotest.test_case "1x1 topology" `Quick single_locality_single_worker;
           Alcotest.test_case "sequential delegates" `Quick sequential_delegates;
           Alcotest.test_case "invalid arguments" `Quick invalid_arguments;
-          Alcotest.test_case "exception safety" `Quick generator_exceptions_propagate;
+          Alcotest.test_case "exception safety" `Quick
+            (fun () -> generator_exceptions_propagate ());
+          Alcotest.test_case "no event waits on the comm tick" `Quick
+            no_event_waits_on_tick;
           Alcotest.test_case "children reaped" `Quick children_reaped;
           Alcotest.test_case "orphan self-reaps" `Quick orphan_self_reaps;
         ] );

@@ -228,12 +228,18 @@ let test_queue_overflow () =
   let running = [ submitted long_job "depthbounded:2";
                   submitted long_job "depthbounded:2" ] in
   List.iter started running;
-  let queued = [ submitted "queens-8" "depthbounded:2";
-                 submitted "queens-8" "budget:1000" ] in
+  let q1 = submitted "queens-8" "depthbounded:2" in
+  let q2 = submitted "queens-8" "budget:1000" in
   let status, body = post_job "queens-8" "depthbounded:2" in
   Alcotest.(check int) "over queue depth -> 429" 429 status;
   Alcotest.(check bool) "429 explains itself" true
     (J.str_or "" (J.member "error" (J.parse_json body)) <> "");
+  (* Cancelling a queued job ends it at once and frees its place. *)
+  let status, body = http ~meth:"DELETE" (Printf.sprintf "/jobs/%d" q2) in
+  Alcotest.(check int) "DELETE queued -> 200" 200 status;
+  Alcotest.(check string) "queued job cancelled" "cancelled"
+    (state (J.parse_json body));
+  let queued = [ q1; submitted "queens-8" "budget:1000" ] in
   (* Cancel the blockers; the queued jobs then run to completion. *)
   List.iter
     (fun id -> ignore (http ~meth:"DELETE" (Printf.sprintf "/jobs/%d" id)))
@@ -359,6 +365,161 @@ let test_serve_journal () =
     (first "job_submitted" <= first "job_scheduled"
     && first "job_scheduled" <= first "job_finished")
 
+(* ------------------------------------------------------------------ *)
+(* A long-lived daemon: bounded job retention, no descriptor leaks.    *)
+(* ------------------------------------------------------------------ *)
+
+(* Submit (retrying while the queue is full) and wait for results,
+   polling tightly: these tests push hundreds of short jobs through. *)
+let submit_retrying ?localities problem skeleton =
+  let rec go () =
+    match post_job ?localities problem skeleton with
+    | 202, body -> job_id body
+    | 429, _ ->
+      Unix.sleepf 0.001;
+      go ()
+    | status, body -> Alcotest.failf "POST /jobs -> %d: %s" status body
+  in
+  go ()
+
+let await_result id =
+  let deadline = Unix.gettimeofday () +. 60. in
+  let rec go () =
+    match http (Printf.sprintf "/jobs/%d/result" id) with
+    | 200, body -> J.parse_json body
+    | 409, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.001;
+      go ()
+    | status, _ -> Alcotest.failf "job %d: result -> %d" id status
+  in
+  go ()
+
+let test_retention () =
+  let n = Server.retained_jobs and k = 4 in
+  (* Pairs of one-slot jobs share the two-slot fleet; each pair ends
+     before the next is submitted, so the k oldest (k even) are the
+     first k/2 pairs. *)
+  let ids =
+    List.concat
+      (List.init ((n + k) / 2) (fun _ ->
+           let pair =
+             List.init 2 (fun _ -> submit_retrying "queens-8" "depthbounded:1")
+           in
+           List.iter
+             (fun id ->
+               Alcotest.(check string) "job done" "done"
+                 (state (await_result id)))
+             pair;
+           pair))
+  in
+  List.iteri
+    (fun i id ->
+      let status, _ = http (Printf.sprintf "/jobs/%d" id) in
+      let rstatus, body = http (Printf.sprintf "/jobs/%d/result" id) in
+      if i < k then begin
+        Alcotest.(check int) (Printf.sprintf "evicted job %d -> 404" id) 404
+          status;
+        Alcotest.(check int) (Printf.sprintf "evicted result %d -> 404" id) 404
+          rstatus
+      end
+      else begin
+        Alcotest.(check int) (Printf.sprintf "kept job %d -> 200" id) 200
+          rstatus;
+        Alcotest.(check string) "kept result" "92 solutions"
+          (J.str_or "" (J.member "result" (J.parse_json body)))
+      end)
+    ids;
+  let _, body = http "/jobs" in
+  let terminal =
+    match J.member "jobs" (J.parse_json body) with
+    | Some (J.Arr js) ->
+      List.length
+        (List.filter
+           (fun j -> List.mem (state j) [ "done"; "failed"; "cancelled" ])
+           js)
+    | _ -> Alcotest.fail "GET /jobs: no jobs array"
+  in
+  Alcotest.(check int) "GET /jobs lists the retained terminal jobs" n terminal
+
+(* Each job opens a wake-up pipe in every locality it runs on; a fleet
+   member runs job after job, so one leaked pair per job would exhaust
+   its descriptor limit. Wait for each member's count to settle back to
+   its idle baseline (the pipe closes just after the job's last frame). *)
+let test_fleet_fds () =
+  let fd_dir pid = Printf.sprintf "/proc/%d/fd" pid in
+  let pids =
+    let _, body = http "/status" in
+    match J.member "slots" (J.parse_json body) with
+    | Some (J.Arr slots) ->
+      List.map (fun s -> int_of_float (J.num_or nan (J.member "pid" s))) slots
+    | _ -> []
+  in
+  if pids <> [] && Sys.file_exists (fd_dir (List.hd pids)) then begin
+    let count pid = Array.length (Sys.readdir (fd_dir pid)) in
+    let baseline = List.map count pids in
+    for _ = 1 to 40 do
+      ignore
+        (await_result (submit_retrying ~localities:2 "queens-8" "depthbounded:1"))
+    done;
+    let deadline = Unix.gettimeofday () +. 30. in
+    let rec settled () =
+      let now = List.map count pids in
+      if List.for_all2 ( <= ) now baseline then ()
+      else if Unix.gettimeofday () > deadline then
+        Alcotest.failf "fleet descriptors grew: %s -> %s"
+          (String.concat "," (List.map string_of_int baseline))
+          (String.concat "," (List.map string_of_int now))
+      else begin
+        Unix.sleepf 0.01;
+        settled ()
+      end
+    in
+    settled ()
+  end
+
+(* A fleet member runs every job on the same worker domains. Once it
+   has served a job, the threads it runs mid-job (each domain's own
+   plus the runtime's helpers) are, by thread id, the ones it had
+   between jobs, and they are still the same after more jobs. A member
+   that spawned its workers per job would show new ids mid-job. *)
+let test_fleet_crew () =
+  let pids =
+    let _, body = http "/status" in
+    match J.member "slots" (J.parse_json body) with
+    | Some (J.Arr slots) ->
+      List.map (fun s -> int_of_float (J.num_or nan (J.member "pid" s))) slots
+    | _ -> []
+  in
+  let task_dir pid = Printf.sprintf "/proc/%d/task" pid in
+  if pids <> [] && Sys.file_exists (task_dir (List.hd pids)) then begin
+    let threads () =
+      List.map
+        (fun pid ->
+          List.sort compare (Array.to_list (Sys.readdir (task_dir pid))))
+        pids
+    in
+    let short_job () =
+      let id = submit_retrying ~localities:2 "queens-8" "depthbounded:1" in
+      let doc = await_result id in
+      Alcotest.(check string) "result" "92 solutions"
+        (J.str_or "" (J.member "result" doc))
+    in
+    short_job ();
+    let idle = threads () in
+    let id = submitted ~localities:2 long_job "depthbounded:2" in
+    started id;
+    Unix.sleepf 0.2;
+    let busy = threads () in
+    ignore (http ~meth:"DELETE" (Printf.sprintf "/jobs/%d" id));
+    ignore (poll_terminal id);
+    for _ = 1 to 5 do
+      short_job ()
+    done;
+    Alcotest.(check (list (list string))) "mid-job thread ids" idle busy;
+    Alcotest.(check (list (list string))) "thread ids after more jobs" idle
+      (threads ())
+  end
+
 let () =
   Alcotest.run "server"
     [
@@ -381,5 +542,15 @@ let () =
           Alcotest.test_case "problems, metrics, status" `Quick
             test_introspection;
           Alcotest.test_case "per-job journal traces" `Quick test_serve_journal;
+        ] );
+      (* Last: retention evicts the jobs earlier cases looked up. *)
+      ( "lifecycle",
+        [
+          Alcotest.test_case "fleet leaks no descriptors" `Quick
+            test_fleet_fds;
+          Alcotest.test_case "fleet keeps its worker domains" `Quick
+            test_fleet_crew;
+          Alcotest.test_case "terminal jobs retained up to the bound" `Quick
+            test_retention;
         ] );
     ]
